@@ -408,8 +408,8 @@ fn cmd_steps(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-/// `trace`: run a matcher through its `*_obs` entry point with a
-/// [`Recorder`] and pretty-print the recorded span tree with bound
+/// `trace`: run a matcher through [`Runner`] with a [`Recorder`]
+/// attached and pretty-print the recorded span tree with bound
 /// margins. Any violated bound turns the whole invocation into an
 /// error (the tree is still printed, inside the error message).
 fn cmd_trace(args: &Args) -> Result<String, CliError> {

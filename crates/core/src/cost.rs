@@ -9,7 +9,7 @@
 //!   counts against these in shape only — constant factors are
 //!   implementation artifacts the paper does not fix.
 //! * **native work forms** ([`match1_native_work`] …): exact
-//!   sequential-work predictions for the rayon-native `*_in` pipelines,
+//!   sequential-work predictions for the rayon-native pipelines,
 //!   in the same units the observability layer's `work_units` counter
 //!   measures (one unit = one node visited by one pass). These are
 //!   derived independently from the bound cascade
@@ -69,7 +69,7 @@ pub fn work_efficiency(n: u64, p: u64, steps: u64) -> f64 {
     (p as f64 * steps as f64) / n.max(1) as f64
 }
 
-/// Exact work units of the native `match1_in` pipeline on an `n`-node
+/// Exact work units of the native Match1 pipeline on an `n`-node
 /// list: `n` per relabel round (the round count is the data-independent
 /// [`cascade_rounds`]) plus the finisher's four passes. Zero for lists
 /// without pointers.
@@ -80,7 +80,7 @@ pub fn match1_native_work(n: u64) -> u64 {
     n * u64::from(cascade_rounds(n)) + 4 * n
 }
 
-/// Exact work units of the native `match2_in` pipeline with `rounds`
+/// Exact work units of the native Match2 pipeline with `rounds`
 /// partition rounds on a single-tail list: `n` per round, set
 /// projection `n`, counting sort `2·(n−1)` over the `n − 1` real
 /// pointers (histogram + placement), sweep `n − 1`, final mask `n` —
@@ -92,7 +92,7 @@ pub fn match2_native_work(n: u64, rounds: u32) -> u64 {
     n * (u64::from(rounds) + 3) + 2 * (n - 1)
 }
 
-/// Exact work units of the native `match3_in` pipeline: `n` per crunch
+/// Exact work units of the native Match3 pipeline: `n` per crunch
 /// round, two passes per pointer-jump round (concatenate + jump), one
 /// probe pass, the finisher's four passes.
 pub fn match3_native_work(n: u64, crunch_rounds: u32, jump_rounds: u32) -> u64 {
@@ -102,7 +102,7 @@ pub fn match3_native_work(n: u64, crunch_rounds: u32, jump_rounds: u32) -> u64 {
     n * (u64::from(crunch_rounds) + 2 * u64::from(jump_rounds) + 5)
 }
 
-/// Exact work units of the native `match4_in` pipeline with `i`
+/// Exact work units of the native Match4 pipeline with `i`
 /// partition rounds on a single-tail list. With `x = ` [`cascade_bound`]
 /// `(n, i)` rows and `y = ⌈n/x⌉` columns: `i·n` relabel, `10n` of
 /// linear passes (set projection, census, the grid's five passes, the
@@ -127,7 +127,6 @@ pub fn native_work_constant(work_units: u64, n: u64) -> u64 {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // pins the legacy names the Runner facade must stay bit-identical to
 mod tests {
     use super::*;
 
@@ -183,51 +182,33 @@ mod tests {
         // predictors above derive work from the bound cascade alone; the
         // matchers assemble their `work_units` counter from what they
         // actually executed. The two must agree exactly.
-        use crate::obs::Recorder;
-        use crate::{
-            match1_obs, match2_obs, match3_obs, match4_obs, CoinVariant, Match3Config, Workspace,
-        };
+        use crate::prelude::*;
         use parmatch_list::random_list;
 
         let mut ws = Workspace::new();
         for n in [2u64, 97, 1024, 5000] {
             let list = random_list(n as usize, 11);
-
-            let mut rec = Recorder::new();
-            match1_obs(&list, CoinVariant::Msb, &mut ws, &mut rec);
-            let rec = rec.finish();
-            assert_eq!(
-                rec.find("work_units").unwrap_or(0),
-                match1_native_work(n),
-                "match1 n={n}"
-            );
-
-            let mut rec = Recorder::new();
-            match2_obs(&list, 2, CoinVariant::Msb, &mut ws, &mut rec);
-            let rec = rec.finish();
-            assert_eq!(
-                rec.find("work_units").unwrap_or(0),
-                match2_native_work(n, 2),
-                "match2 n={n}"
-            );
-
-            let mut rec = Recorder::new();
-            let out = match3_obs(&list, Match3Config::default(), &mut ws, &mut rec).unwrap();
-            let rec = rec.finish();
-            assert_eq!(
-                rec.find("work_units").unwrap_or(0),
-                match3_native_work(n, out.crunch_rounds, out.jump_rounds),
-                "match3 n={n}"
-            );
-
-            let mut rec = Recorder::new();
-            match4_obs(&list, 2, CoinVariant::Msb, &mut ws, &mut rec);
-            let rec = rec.finish();
-            assert_eq!(
-                rec.find("work_units").unwrap_or(0),
-                match4_native_work(n, 2),
-                "match4 n={n}"
-            );
+            for algo in Algorithm::ALL {
+                let mut rec = Recorder::new();
+                let out = Runner::new(algo)
+                    .workspace(&mut ws)
+                    .observer(&mut rec)
+                    .run(&list);
+                let predicted = match &out {
+                    MatchOutcome::Match1(_) => match1_native_work(n),
+                    MatchOutcome::Match2(_) => match2_native_work(n, 2),
+                    MatchOutcome::Match3(o) => {
+                        match3_native_work(n, o.crunch_rounds, o.jump_rounds)
+                    }
+                    MatchOutcome::Match4(_) => match4_native_work(n, 2),
+                };
+                let rec = rec.finish();
+                assert_eq!(
+                    rec.find("work_units").unwrap_or(0),
+                    predicted,
+                    "{algo} n={n}"
+                );
+            }
             assert!(native_work_constant(match4_native_work(n, 2), n) <= 26);
         }
         assert_eq!(match1_native_work(1), 0);

@@ -28,6 +28,7 @@
 //!   `2w + 1`); the bound sequence is exactly the `2·log^(k) n (1+o(1))`
 //!   cascade of Lemma 2.
 
+use crate::obs::Observer;
 use parmatch_bits::coin::CoinVariant;
 use parmatch_bits::{ilog2_ceil, Word};
 use parmatch_list::{LinkedList, NodeId};
@@ -91,24 +92,38 @@ where
 }
 
 /// Apply `rounds` relabel rounds to `cur` in place (using `alt` as the
-/// double buffer), fusing up to [`FUSE`] rounds per memory pass.
-/// Returns the final bound. Output is bit-identical to `rounds` chained
-/// [`LabelSeq::relabel`] calls.
-pub(crate) fn relabel_rounds_in<S>(
+/// double buffer) and return the final bound. Labels are bit-identical
+/// to `rounds` chained [`LabelSeq::relabel`] calls.
+///
+/// The `relabel` span is opened and closed for every observer. Without
+/// audits, up to [`FUSE`] rounds share one memory pass. An auditing
+/// observer (`O::ENABLED`) gets one round per pass through the same
+/// [`fused_pass`] kernel, so it can record a `round` child per round:
+/// the round's width, new bound and a [`census256`] of distinct labels
+/// audited against Lemma 1's `2w`, plus the totals (`final_bound`,
+/// `bytes_touched`).
+pub(crate) fn relabel_rounds<S, O: Observer>(
     suc: &S,
     cur: &mut Vec<Word>,
     alt: &mut Vec<Word>,
     mut bound: Word,
     rounds: u32,
     variant: CoinVariant,
+    obs: &mut O,
 ) -> Word
 where
     S: Fn(NodeId) -> NodeId + Sync,
 {
+    obs.enter("relabel");
+    if O::ENABLED {
+        obs.counter("rounds", u64::from(rounds));
+        obs.counter("initial_bound", bound);
+    }
+    let per_pass = if O::ENABLED { 1 } else { FUSE };
     alt.resize(cur.len(), 0);
     let mut done = 0;
     while done < rounds {
-        let g = ((rounds - done) as usize).min(FUSE);
+        let g = ((rounds - done) as usize).min(per_pass);
         let mut widths = [0u32; FUSE];
         for slot in widths.iter_mut().take(g) {
             let w = width_of(bound);
@@ -118,7 +133,23 @@ where
         fused_pass(suc, cur, alt, &widths[..g], variant);
         std::mem::swap(cur, alt);
         done += g as u32;
+        if O::ENABLED {
+            obs.enter("round");
+            obs.counter("k", u64::from(done));
+            obs.counter("width_bits", u64::from(widths[0]));
+            obs.counter("bound", bound);
+            obs.bounded("distinct_labels", census256(cur), 2 * u64::from(widths[0]));
+            obs.exit();
+        }
     }
+    if O::ENABLED {
+        obs.counter("final_bound", bound);
+        obs.counter(
+            "bytes_touched",
+            crate::obs::relabel_bytes(cur.len(), rounds),
+        );
+    }
+    obs.exit();
     bound
 }
 
@@ -145,55 +176,6 @@ pub(crate) fn census256(labels: &[Word]) -> u64 {
         }
     }
     mask.iter().map(|w| u64::from(w.count_ones())).sum()
-}
-
-/// [`relabel_rounds_in`] with an [`Observer`](crate::obs::Observer).
-///
-/// Disabled observers take the fused path unchanged — this compiles to
-/// exactly [`relabel_rounds_in`]. An enabled observer forces one round
-/// per memory pass (`g = 1` through the same [`fused_pass`] kernel, so
-/// the labels stay bit-identical — the property
-/// `fused_rounds_match_unfused_exactly` pins) and records a `relabel`
-/// span: one `round` child per round carrying the round's width, new
-/// bound and a [`census256`] of distinct labels audited against
-/// Lemma 1's `2w`, plus totals (`final_bound`, `bytes_touched`).
-pub(crate) fn relabel_rounds_obs<S, O: crate::obs::Observer>(
-    suc: &S,
-    cur: &mut Vec<Word>,
-    alt: &mut Vec<Word>,
-    bound: Word,
-    rounds: u32,
-    variant: CoinVariant,
-    obs: &mut O,
-) -> Word
-where
-    S: Fn(NodeId) -> NodeId + Sync,
-{
-    if !O::ENABLED {
-        return relabel_rounds_in(suc, cur, alt, bound, rounds, variant);
-    }
-    obs.enter("relabel");
-    obs.counter("rounds", u64::from(rounds));
-    obs.counter("initial_bound", bound);
-    let n = cur.len();
-    alt.resize(n, 0);
-    let mut b = bound;
-    for r in 0..rounds {
-        let w = width_of(b);
-        fused_pass(suc, cur, alt, &[w], variant);
-        std::mem::swap(cur, alt);
-        b = 2 * Word::from(w) + 1;
-        obs.enter("round");
-        obs.counter("k", u64::from(r + 1));
-        obs.counter("width_bits", u64::from(w));
-        obs.counter("bound", b);
-        obs.bounded("distinct_labels", census256(cur), 2 * u64::from(w));
-        obs.exit();
-    }
-    obs.counter("final_bound", b);
-    obs.counter("bytes_touched", crate::obs::relabel_bytes(n, rounds));
-    obs.exit();
-    b
 }
 
 /// The matching partition function on a pair of distinct labels:
@@ -372,35 +354,18 @@ impl LabelSeq {
         }
     }
 
-    /// Apply `k` rounds of [`relabel`](Self::relabel), fusing up to
-    /// `FUSE` rounds into each blocked memory pass. Bit-identical to
-    /// `k` chained `relabel` calls (each fold step uses the width its
-    /// round would use), but reads/writes the label array `⌈k/FUSE⌉`
-    /// times instead of `k` times.
+    /// Apply `k` rounds of [`relabel`](Self::relabel), one freshly
+    /// allocated label array per round. This chain is the reference
+    /// oracle the fused production kernel is tested against.
     pub fn relabel_k(&self, list: &LinkedList, k: u32) -> Self {
         assert_eq!(list.len(), self.labels.len(), "label/list size mismatch");
-        let mut cur = self.labels.clone();
-        let mut alt = Vec::new();
-        let bound = relabel_rounds_in(
-            &|u| list.next_cyclic(u),
-            &mut cur,
-            &mut alt,
-            self.bound,
-            k,
-            self.variant,
-        );
-        Self {
-            labels: cur,
-            bound,
-            variant: self.variant,
-            rounds: self.rounds + k,
-        }
+        (0..k).fold(self.clone(), |l, _| l.relabel(list))
     }
 
     /// Relabel until the bound stops shrinking — `G(n) + O(1)` rounds —
     /// and return the converged labelling. This is step 2 of Match1 run
     /// to the fixed point. The round count is a pure function of the
-    /// bound cascade, so the rounds are planned up front and fused.
+    /// bound cascade, so the rounds are planned up front.
     pub fn relabel_to_convergence(&self, list: &LinkedList) -> Self {
         self.relabel_k(list, convergence_rounds(self.bound))
     }
@@ -573,16 +538,26 @@ mod tests {
 
     #[test]
     fn fused_rounds_match_unfused_exactly() {
-        // The fused kernel must agree with chained single rounds for
-        // every k across the FUSE boundary, bit for bit.
+        // The production kernel must agree with the chained reference
+        // rounds for every k across the FUSE boundary, bit for bit.
         let list = random_list(3000, 17);
+        let n = list.len();
         for variant in [CoinVariant::Msb, CoinVariant::Lsb] {
-            let l0 = LabelSeq::initial(&list, variant);
-            let mut chained = l0.clone();
+            let mut chained = LabelSeq::initial(&list, variant);
             for k in 1..=(2 * FUSE as u32 + 1) {
                 chained = chained.relabel(&list);
-                let fused = l0.relabel_k(&list, k);
-                assert_eq!(fused, chained, "k = {k} {variant:?}");
+                let mut cur: Vec<Word> = (0..n as Word).collect();
+                let bound = relabel_rounds(
+                    &|u| list.next_cyclic(u),
+                    &mut cur,
+                    &mut Vec::new(),
+                    n as Word,
+                    k,
+                    variant,
+                    &mut crate::obs::NoopObserver,
+                );
+                assert_eq!(cur, chained.labels(), "k = {k} {variant:?}");
+                assert_eq!(bound, chained.bound(), "k = {k} {variant:?}");
             }
         }
     }
@@ -606,10 +581,17 @@ mod tests {
                 let mut plain: Vec<Word> = (0..n as Word).collect();
                 let mut obs_run = plain.clone();
                 let (mut alt_a, mut alt_b) = (Vec::new(), Vec::new());
-                let b1 =
-                    relabel_rounds_in(&suc, &mut plain, &mut alt_a, n as Word, rounds, variant);
+                let b1 = relabel_rounds(
+                    &suc,
+                    &mut plain,
+                    &mut alt_a,
+                    n as Word,
+                    rounds,
+                    variant,
+                    &mut crate::obs::NoopObserver,
+                );
                 let mut rec = crate::obs::Recorder::new();
-                let b2 = relabel_rounds_obs(
+                let b2 = relabel_rounds(
                     &suc,
                     &mut obs_run,
                     &mut alt_b,

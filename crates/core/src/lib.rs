@@ -21,15 +21,19 @@
 //! | [`walkdown`] | WalkDown1 (Lemma 6) and WalkDown2 (Lemma 7 pipeline) |
 //! | [`pram_impl`] | step-faithful simulator versions with exact PRAM step counts |
 //! | [`cost`] | the paper's analytic step-count and work predictions |
-//! | [`workspace`] | reusable buffer arena for the zero-allocation `*_in` drivers |
-//! | [`obs`] | span-tree instrumentation auditing runs against the paper's bounds |
-//! | [`runner`] | the unified [`Runner`] facade over all four algorithms |
+//! | [`workspace`] | reusable buffer arena for zero-allocation steady-state runs |
+//! | [`obs`] | phase spans on the production path, plus opt-in audits against the paper's bounds |
+//! | [`runner`] | the unified [`Runner`] facade: the one entry point to all four algorithms |
 //! | [`batch`] | fused batch execution of many small jobs in one sweep |
 //!
 //! # Quick start
 //!
 //! Every algorithm runs through one facade: pick an [`Algorithm`], set
-//! the knobs you care about, and [`Runner::run`].
+//! the knobs you care about, and [`Runner::run`]. Each algorithm has
+//! exactly one pipeline body behind it, and each pipeline stage one
+//! production function; attaching an [`Observer`] adds phase spans and,
+//! for an enabled one, the paper-bound audits, but never a different
+//! pipeline.
 //!
 //! ```
 //! use parmatch_core::prelude::*;
@@ -69,16 +73,8 @@ pub mod workspace;
 pub use batch::{match1_batch_in, BatchKey, BatchPlan};
 pub use labels::{f_ext, f_pair, LabelSeq};
 pub use match1::Match1Output;
-#[allow(deprecated)]
-pub use match1::{match1, match1_in, match1_obs};
 pub use match2::Match2Output;
-#[allow(deprecated)]
-pub use match2::{match2, match2_in, match2_obs};
-#[allow(deprecated)]
-pub use match3::{match3, match3_in, match3_obs};
 pub use match3::{Match3Config, Match3Error, Match3Output};
-#[allow(deprecated)]
-pub use match4::{match4, match4_in, match4_obs, match4_with};
 pub use match4::{match4_from_partition, Match4Output};
 pub use matching::Matching;
 pub use obs::{NoopObserver, Observer, Recorder, Recording};

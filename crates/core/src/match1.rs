@@ -11,16 +11,16 @@
 //! `n` nodes. Not optimal (Lemma 3), but the building block of
 //! everything else.
 
-use crate::finish::from_labels_core_obs;
-use crate::labels::{convergence_rounds, relabel_rounds_obs};
+use crate::finish::from_labels_core;
+use crate::labels::{convergence_rounds, relabel_rounds};
 use crate::matching::Matching;
-use crate::obs::{NoopObserver, Observer};
+use crate::obs::Observer;
 use crate::workspace::Workspace;
 use crate::CoinVariant;
 use parmatch_bits::{g_of, Word};
 use parmatch_list::{LinkedList, NodeId};
 
-/// Result of [`match1`]: the matching plus the run's vital signs.
+/// Result of a Match1 run: the matching plus the run's vital signs.
 #[derive(Debug, Clone)]
 pub struct Match1Output {
     /// The maximal matching.
@@ -31,49 +31,15 @@ pub struct Match1Output {
     pub final_bound: u64,
 }
 
-/// Compute a maximal matching with Algorithm Match1: iterate `f` to
-/// convergence (`G(n) + O(1)` rounds), then cut-and-walk.
+/// Match1: iterate `f` to convergence (`G(n) + O(1)` rounds), then
+/// cut-and-walk, all in the buffers of `ws`. Lists with fewer than 2
+/// nodes yield the empty matching.
 ///
-/// Lists with fewer than 2 nodes yield the empty matching.
-///
-/// # Examples
-///
-/// ```
-/// use parmatch_core::{match1, verify, CoinVariant};
-/// use parmatch_list::random_list;
-///
-/// let list = random_list(10_000, 1);
-/// # #[allow(deprecated)]
-/// let out = match1(&list, CoinVariant::Msb);
-/// verify::assert_maximal_matching(&list, &out.matching);
-/// assert!(out.rounds <= 5);          // ≈ G(n): effectively constant
-/// assert!(out.final_bound <= 9);     // the cascade's fixed point
-/// ```
-#[deprecated(note = "use Runner")]
-#[allow(deprecated)]
-pub fn match1(list: &LinkedList, variant: CoinVariant) -> Match1Output {
-    match1_in(list, variant, &mut Workspace::new())
-}
-
-/// [`match1`] running in a reusable [`Workspace`]: after the first call
-/// on a given list size every pass (fused relabel rounds, cut, walk,
-/// fix-up) works in preallocated buffers. The result is bit-identical to
-/// [`match1`] at every thread count.
-#[deprecated(note = "use Runner")]
-#[allow(deprecated)]
-pub fn match1_in(list: &LinkedList, variant: CoinVariant, ws: &mut Workspace) -> Match1Output {
-    match1_obs(list, variant, ws, &mut NoopObserver)
-}
-
-/// [`match1_in`] with an [`Observer`]. With the (default)
-/// [`NoopObserver`] this *is* `match1_in` — every instrumentation site
-/// compiles out. An enabled observer receives a `match1` span: the
-/// per-round `relabel` subtree (distinct-label censuses vs. Lemma 1),
-/// the round count audited against Match1 step 2's `G(n) + O(1)`, the
-/// `finish` subtree (sublist lengths vs. `2·bound − 1`), and the total
-/// work units audited against the `O(n·G(n))` form of Lemma 3.
-#[deprecated(note = "use Runner")]
-pub fn match1_obs<O: Observer>(
+/// `obs` sees a `match1` span around the `relabel` and `finish` phases.
+/// An auditing observer also gets the round count audited against
+/// Match1 step 2's `G(n) + O(1)` and the total work units audited
+/// against the `O(n·G(n))` form of Lemma 3.
+pub(crate) fn run<O: Observer>(
     list: &LinkedList,
     variant: CoinVariant,
     ws: &mut Workspace,
@@ -104,8 +70,10 @@ pub fn match1_obs<O: Observer>(
     let rounds = convergence_rounds(n as Word);
     let g = g_of(n as Word);
     obs.enter("match1");
-    obs.counter("n", n as u64);
-    let bound = relabel_rounds_obs(
+    if O::ENABLED {
+        obs.counter("n", n as u64);
+    }
+    let bound = relabel_rounds(
         &|u: NodeId| next_cyc[u as usize],
         labels_a,
         labels_b,
@@ -117,7 +85,7 @@ pub fn match1_obs<O: Observer>(
     if O::ENABLED {
         obs.bounded("rounds", u64::from(rounds), u64::from(g) + 2);
     }
-    let matching = from_labels_core_obs(list, labels_a, pred, cut, mask, matched, bound, obs);
+    let matching = from_labels_core(list, labels_a, pred, cut, mask, matched, bound, obs);
     if O::ENABLED {
         // n per relabel round, plus the finisher's four passes (cut,
         // walk, matched scatter, final mask).
@@ -134,11 +102,16 @@ pub fn match1_obs<O: Observer>(
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::runner::{Algorithm, Runner};
     use crate::verify;
     use parmatch_list::{blocked_list, random_list, reversed_list, sequential_list};
+
+    fn match1(list: &LinkedList, variant: CoinVariant) -> Match1Output {
+        let out = Runner::new(Algorithm::Match1).variant(variant).run(list);
+        out.as_match1().expect("match1 outcome").clone()
+    }
 
     #[test]
     fn maximal_on_random_lists() {
@@ -198,10 +171,11 @@ mod tests {
     fn workspace_reuse_matches_fresh() {
         // One workspace across different sizes and seeds (grow, shrink,
         // same-size reuse) must give the same result as a fresh one.
-        let mut ws = crate::Workspace::new();
+        let mut ws = Workspace::new();
         for (n, seed) in [(2000, 1u64), (500, 2), (500, 3), (3001, 4), (2, 5)] {
             let list = random_list(n, seed);
-            let reused = match1_in(&list, CoinVariant::Msb, &mut ws);
+            let reused = Runner::new(Algorithm::Match1).workspace(&mut ws).run(&list);
+            let reused = reused.as_match1().unwrap();
             let fresh = match1(&list, CoinVariant::Msb);
             assert_eq!(reused.matching, fresh.matching, "n={n} seed={seed}");
             assert_eq!(reused.rounds, fresh.rounds);

@@ -17,10 +17,10 @@
 //! fastest known; the table `T` and its size/constructibility trade-off
 //! live in [`crate::table`].
 
-use crate::finish::from_labels_core_obs;
-use crate::labels::relabel_rounds_obs;
+use crate::finish::from_labels_core;
+use crate::labels::relabel_rounds;
 use crate::matching::Matching;
-use crate::obs::{NoopObserver, Observer};
+use crate::obs::Observer;
 use crate::table::TableError;
 use crate::workspace::{Workspace, CHUNK};
 use crate::CoinVariant;
@@ -55,7 +55,7 @@ impl Default for Match3Config {
     }
 }
 
-/// Failure modes of [`match3`].
+/// Failure modes of a Match3 run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Match3Error {
     /// The requested table exceeds the configured size cap; crunch more
@@ -82,7 +82,7 @@ impl From<TableError> for Match3Error {
     }
 }
 
-/// Result of [`match3`].
+/// Result of a Match3 run.
 #[derive(Debug, Clone)]
 pub struct Match3Output {
     /// The maximal matching.
@@ -98,51 +98,17 @@ pub struct Match3Output {
     pub final_bound: Word,
 }
 
-/// Compute a maximal matching with Algorithm Match3.
+/// Match3 in the buffers of `ws`: fused crunch rounds, double-buffered
+/// pointer jumping, and a **cached lookup table** — a steady-state rerun
+/// with the same configuration skips the table enumeration entirely.
 ///
-/// # Examples
-///
-/// ```
-/// use parmatch_core::{match3, verify, Match3Config};
-/// use parmatch_list::random_list;
-///
-/// let list = random_list(10_000, 1);
-/// # #[allow(deprecated)]
-/// let out = match3(&list, Match3Config::default()).unwrap();
-/// verify::assert_maximal_matching(&list, &out.matching);
-/// assert!(out.final_bound <= 16); // "a constant not related to n"
-/// ```
-#[deprecated(note = "use Runner")]
-#[allow(deprecated)]
-pub fn match3(list: &LinkedList, config: Match3Config) -> Result<Match3Output, Match3Error> {
-    match3_in(list, config, &mut Workspace::new())
-}
-
-/// [`match3`] running in a reusable [`Workspace`]: fused crunch rounds,
-/// double-buffered pointer jumping, and a **cached lookup table** — a
-/// steady-state rerun with the same configuration skips the table
-/// enumeration entirely. Bit-identical to [`match3`] at every thread
-/// count.
-#[deprecated(note = "use Runner")]
-#[allow(deprecated)]
-pub fn match3_in(
-    list: &LinkedList,
-    config: Match3Config,
-    ws: &mut Workspace,
-) -> Result<Match3Output, Match3Error> {
-    match3_obs(list, config, ws, &mut NoopObserver)
-}
-
-/// [`match3_in`] with an [`Observer`]. With the (default)
-/// [`NoopObserver`] this *is* `match3_in`. An enabled observer receives
-/// a `match3` span: the crunch `relabel` subtree, a `jump` span (rounds,
-/// final window width), a `probe` span (table index width and value
-/// bound), the `finish` subtree, and the total work units audited
-/// against Lemma 5's `O(n·log G(n))` form. An error return (table too
-/// large) may leave the `match3` span open; [`crate::obs::Recorder`]
-/// closes it on finish.
-#[deprecated(note = "use Runner")]
-pub fn match3_obs<O: Observer>(
+/// `obs` sees a `match3` span around the crunch `relabel`, `jump`,
+/// `probe` and `finish` phases. An auditing observer also gets the jump
+/// rounds and window width, the table index width and value bound, and
+/// the total work units audited against Lemma 5's `O(n·log G(n))` form.
+/// An error return (table too large) may leave the `match3` span open;
+/// [`crate::obs::Recorder`] closes it on finish.
+pub(crate) fn run<O: Observer>(
     list: &LinkedList,
     config: Match3Config,
     ws: &mut Workspace,
@@ -168,7 +134,9 @@ pub fn match3_obs<O: Observer>(
 
     // Step 2: crunch (fused rounds).
     obs.enter("match3");
-    obs.counter("n", n as u64);
+    if O::ENABLED {
+        obs.counter("n", n as u64);
+    }
     let crunch_bound = {
         let Workspace {
             next_cyc,
@@ -177,7 +145,7 @@ pub fn match3_obs<O: Observer>(
             ..
         } = &mut *ws;
         let next_cyc: &[NodeId] = next_cyc;
-        relabel_rounds_obs(
+        relabel_rounds(
             &|u: NodeId| next_cyc[u as usize],
             labels_a,
             labels_b,
@@ -256,13 +224,13 @@ pub fn match3_obs<O: Observer>(
         std::mem::swap(nxt_a, nxt_b);
         width *= 2;
     }
+    obs.enter("jump");
     if O::ENABLED {
-        obs.enter("jump");
         obs.counter("rounds", u64::from(j));
         obs.counter("window", u64::from(m));
         obs.counter("window_bits", u64::from(width));
-        obs.exit();
     }
+    obs.exit();
 
     // Step 4: one probe each.
     {
@@ -278,16 +246,16 @@ pub fn match3_obs<O: Observer>(
             });
     }
     std::mem::swap(labels_a, labels_b);
+    obs.enter("probe");
     if O::ENABLED {
-        obs.enter("probe");
         obs.counter("probes", n as u64);
         obs.counter("table_bits", u64::from(w * m));
         obs.counter("value_bound", table.value_bound());
-        obs.exit();
     }
+    obs.exit();
 
     // Steps 5–6: Match1 steps 3–4.
-    let matching = from_labels_core_obs(
+    let matching = from_labels_core(
         list,
         labels_a,
         pred,
@@ -319,11 +287,18 @@ pub fn match3_obs<O: Observer>(
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::runner::{Algorithm, Runner, RunnerError};
     use crate::verify;
     use parmatch_list::{random_list, reversed_list, sequential_list};
+
+    fn match3(list: &LinkedList, config: Match3Config) -> Result<Match3Output, Match3Error> {
+        match Runner::new(Algorithm::Match3).config(config).try_run(list) {
+            Ok(out) => Ok(out.as_match3().expect("match3 outcome").clone()),
+            Err(RunnerError::Match3(e)) => Err(e),
+        }
+    }
 
     #[test]
     fn maximal_with_default_config() {

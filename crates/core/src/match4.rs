@@ -20,12 +20,12 @@
 //! available by pre-partitioning with [`crate::table`] — the experiment
 //! drivers exercise both.
 
-use crate::finish::{greedy_by_sets, greedy_core_obs};
-use crate::labels::relabel_rounds_obs;
+use crate::finish::{greedy_by_sets, greedy_core};
+use crate::labels::relabel_rounds;
 use crate::matching::Matching;
-use crate::obs::{NoopObserver, Observer};
+use crate::obs::Observer;
 use crate::partition::{PointerSets, NO_POINTER};
-use crate::walkdown::{color_pointers, walkdown1_obs, walkdown2_obs, Grid, UNCOLORED};
+use crate::walkdown::{color_pointers, walkdown1, walkdown2, Grid, UNCOLORED};
 use crate::workspace::{Workspace, CHUNK};
 use crate::CoinVariant;
 use parmatch_bits::{ilog2_ceil, Word};
@@ -33,7 +33,7 @@ use parmatch_list::{LinkedList, NodeId, NIL};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Result of [`match4`] with the grid's vital signs.
+/// Result of a Match4 run with the grid's vital signs.
 #[derive(Debug, Clone)]
 pub struct Match4Output {
     /// The maximal matching.
@@ -49,59 +49,23 @@ pub struct Match4Output {
     pub walk_rounds: usize,
 }
 
-/// Compute a maximal matching with Algorithm Match4, using `i`
-/// applications of `f` for the step-1 partition.
+/// Match4 with `i` applications of `f` for the step-1 partition, in the
+/// buffers of `ws`: fused step-1 rounds, the grid built into loaned flat
+/// storage, walkdown colors and the greedy sweep in preallocated
+/// buffers.
+///
+/// `obs` sees a `match4` span around the `relabel`, `partition`,
+/// `grid`, `walkdown1`, `walkdown2` and `sweep` phases. An auditing
+/// observer also gets the distinct-set census audited against the
+/// cascade bound, the grid shape (rows `x`, columns `y`, per-column sort
+/// work), the walkdown rounds audited against Lemmas 6–7 (`x` and
+/// `2x − 1`, combined `3x − 1`), and total work units audited against
+/// Theorem 1's `c·n` form.
 ///
 /// # Panics
 ///
 /// Panics if `i == 0`.
-#[deprecated(note = "use Runner")]
-#[allow(deprecated)]
-pub fn match4(list: &LinkedList, i: u32) -> Match4Output {
-    match4_with(list, i, CoinVariant::Msb)
-}
-
-/// [`match4`] with an explicit coin-tossing variant.
-#[deprecated(note = "use Runner")]
-#[allow(deprecated)]
-pub fn match4_with(list: &LinkedList, i: u32, variant: CoinVariant) -> Match4Output {
-    match4_in(list, i, variant, &mut Workspace::new())
-}
-
-/// [`match4`] running in a reusable [`Workspace`]: fused step-1 rounds,
-/// the grid built into loaned flat storage, walkdown colors and the
-/// greedy sweep in preallocated buffers. Bit-identical to
-/// [`match4_with`] at every thread count.
-///
-/// # Panics
-///
-/// Panics if `i == 0`.
-#[deprecated(note = "use Runner")]
-#[allow(deprecated)]
-pub fn match4_in(
-    list: &LinkedList,
-    i: u32,
-    variant: CoinVariant,
-    ws: &mut Workspace,
-) -> Match4Output {
-    match4_obs(list, i, variant, ws, &mut NoopObserver)
-}
-
-/// [`match4_in`] with an [`Observer`]. With the (default)
-/// [`NoopObserver`] this *is* `match4_in`. An enabled observer receives
-/// a `match4` span: the step-1 `relabel` subtree, a `partition` span
-/// with the distinct-set census audited against the cascade bound, a
-/// `grid` span (rows `x`, columns `y`, per-column sort work), the
-/// `walkdown1`/`walkdown2` spans with their lockstep rounds audited
-/// against Lemmas 6–7 (`x` and `2x − 1`), the `sweep` subtree, the
-/// combined walk rounds audited against `3x − 1`, and total work units
-/// audited against Theorem 1's `c·n` form.
-///
-/// # Panics
-///
-/// Panics if `i == 0`.
-#[deprecated(note = "use Runner")]
-pub fn match4_obs<O: Observer>(
+pub(crate) fn run<O: Observer>(
     list: &LinkedList,
     i: u32,
     variant: CoinVariant,
@@ -145,8 +109,10 @@ pub fn match4_obs<O: Observer>(
     // Step 1: the matching partition, as raw per-tail set numbers.
     let next_cyc: &[NodeId] = next_cyc;
     obs.enter("match4");
-    obs.counter("n", n as u64);
-    let bound = relabel_rounds_obs(
+    if O::ENABLED {
+        obs.counter("n", n as u64);
+    }
+    let bound = relabel_rounds(
         &|u: NodeId| next_cyc[u as usize],
         labels_a,
         labels_b,
@@ -196,11 +162,11 @@ pub fn match4_obs<O: Observer>(
         }
     }
     let distinct_sets: usize = seen.iter().map(|w| w.count_ones() as usize).sum();
+    obs.enter("partition");
     if O::ENABLED {
-        obs.enter("partition");
         obs.bounded("distinct_sets", distinct_sets as u64, bound);
-        obs.exit();
     }
+    obs.exit();
 
     // Steps 2–4: the grid and both walkdowns. The guard hands the grid's
     // flat storage back to the workspace even if a later phase panics
@@ -220,8 +186,8 @@ pub fn match4_obs<O: Observer>(
         slot: grid_store,
     };
     let grid = guard.grid.as_ref().expect("grid held until guard drops");
+    obs.enter("grid");
     if O::ENABLED {
-        obs.enter("grid");
         obs.counter("rows", x as u64);
         obs.counter("cols", grid.cols() as u64);
         // per-column comparison sort of x keys, y columns in parallel
@@ -229,12 +195,12 @@ pub fn match4_obs<O: Observer>(
             "sort_work",
             n as u64 * u64::from(ilog2_ceil(x as Word).max(1)),
         );
-        obs.exit();
     }
+    obs.exit();
     let pred: &[NodeId] = pred;
     let colors: &[AtomicU8] = colors;
-    let r1 = walkdown1_obs(list, grid, pred, colors, obs);
-    let r2 = walkdown2_obs(list, grid, pred, colors, walk_state, obs);
+    let r1 = walkdown1(list, grid, pred, colors, obs);
+    let r2 = walkdown2(list, grid, pred, colors, walk_state, obs);
     #[cfg(debug_assertions)]
     {
         let plain: Vec<u8> = colors.iter().map(|a| a.load(Ordering::Relaxed)).collect();
@@ -255,7 +221,7 @@ pub fn match4_obs<O: Observer>(
                 };
             }
         });
-    let matching = greedy_core_obs(
+    let matching = greedy_core(
         list,
         sets,
         3,
@@ -343,11 +309,23 @@ pub fn match4_from_partition(list: &LinkedList, ps: &PointerSets) -> Match4Outpu
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::runner::{Algorithm, Runner};
     use crate::verify;
     use parmatch_list::{blocked_list, random_list, reversed_list, sequential_list};
+
+    fn match4_with(list: &LinkedList, i: u32, variant: CoinVariant) -> Match4Output {
+        let out = Runner::new(Algorithm::Match4)
+            .levels(i)
+            .variant(variant)
+            .run(list);
+        out.as_match4().expect("match4 outcome").clone()
+    }
+
+    fn match4(list: &LinkedList, i: u32) -> Match4Output {
+        match4_with(list, i, CoinVariant::Msb)
+    }
 
     #[test]
     fn maximal_for_each_i() {

@@ -1,14 +1,23 @@
-//! Zero-overhead-when-disabled instrumentation with paper-bound auditing.
+//! Phase spans on the production path, with opt-in paper-bound audits.
 //!
-//! Every matcher entry point has an `*_obs` twin taking a generic
-//! [`Observer`]. The default [`NoopObserver`] has
-//! [`Observer::ENABLED`]` = false` and empty `#[inline(always)]`
-//! methods, so every instrumentation site — including the
-//! `if O::ENABLED` guards around per-round label materialisation —
-//! compiles away and the `*_in` steady-state paths stay exactly the
-//! allocation-free pipelines of the parallel-native work: no branch, no
-//! byte, no bit of output changes (the differential suites enforce the
-//! latter).
+//! Every matcher pipeline is one body generic over an [`Observer`], and
+//! it has two kinds of instrumentation site:
+//!
+//! * **Phase hooks.** [`Observer::enter`] / [`Observer::exit`] bracket
+//!   each phase (`relabel`, `finish`, `sweep`, `walkdown1`, …) for every
+//!   observer, at fixed points of the production pipeline. They never
+//!   change what executes, so a hook-only observer — a timer, the
+//!   service's cancellation probe — sees exactly the pipeline an
+//!   unobserved run executes.
+//! * **Audits.** Counters, label censuses and the sequential `finish`
+//!   replay run only behind `if O::ENABLED`. [`Observer::ENABLED`]
+//!   means "take the paper-bound audits". Per-round censuses need the
+//!   labels after every round, so an auditing run relabels one round
+//!   per memory pass instead of fusing rounds; its outputs stay
+//!   bit-identical.
+//!
+//! The default [`NoopObserver`] has `ENABLED = false` and empty
+//! `#[inline(always)]` methods, so every site compiles away.
 //!
 //! An enabled observer such as [`Recorder`] receives a *span tree* of
 //! algorithm phases (`relabel` → per-`round` children, `finish`,
@@ -27,19 +36,19 @@
 //! trace into the same span vocabulary so native and simulated runs are
 //! audited side by side.
 
-/// Sink for instrumentation events emitted by the `*_obs` matchers.
+/// Sink for instrumentation events emitted by the matcher pipelines.
 ///
-/// Implementations fall in two classes: [`NoopObserver`]
-/// (`ENABLED = false`, everything compiles out) and real recorders
-/// (`ENABLED = true`), for which the matchers additionally materialise
-/// per-round data they would otherwise fuse away. Enabled observers
-/// must never influence outputs — the matchers only *read* state when
-/// feeding one.
+/// Every observer receives the phase spans ([`enter`](Observer::enter)
+/// / [`exit`](Observer::exit)) of the production pipeline. Observers
+/// with `ENABLED = true` (such as [`Recorder`]) also receive the audit
+/// counters, for which the matchers materialise per-round data they
+/// would otherwise fuse away. No observer influences outputs — the
+/// matchers only *read* state when feeding one.
 pub trait Observer {
-    /// Whether instrumentation sites should do work at all. Matchers
-    /// guard every observation — and any extra bookkeeping needed to
-    /// produce one — behind `if Self::ENABLED`, so a `false` here makes
-    /// the `*_obs` twin compile to the plain `*_in` body.
+    /// Whether to take the paper-bound audits. Matchers guard every
+    /// counter — and any extra bookkeeping needed to produce one —
+    /// behind `if Self::ENABLED`; with `false` an observer sees only the
+    /// phase spans, and the pipeline is exactly the unobserved one.
     const ENABLED: bool;
 
     /// Open a child span named `label` under the current span.
@@ -57,8 +66,8 @@ pub trait Observer {
 }
 
 /// The do-nothing observer: `ENABLED = false`, every method an empty
-/// `#[inline(always)]` body. Passing `&mut NoopObserver` is how the
-/// plain `*_in` entry points call their `*_obs` twins at zero cost.
+/// `#[inline(always)]` body. An unobserved run passes `&mut NoopObserver`
+/// to the generic pipeline at zero cost.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoopObserver;
 
@@ -112,8 +121,9 @@ impl Span {
 }
 
 /// An enabled [`Observer`] that records the span tree for later
-/// auditing and rendering. Create one, pass it to an `*_obs` matcher,
-/// then call [`Recorder::finish`].
+/// auditing and rendering. Create one, attach it with
+/// [`Runner::observer`](crate::runner::Runner::observer), then call
+/// [`Recorder::finish`].
 #[derive(Debug, Default)]
 pub struct Recorder {
     root: Span,

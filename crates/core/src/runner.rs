@@ -1,15 +1,15 @@
 //! The unified entry point: one [`Runner`] builder over all four
 //! matchers.
 //!
-//! The native pipeline grew a 4 × 3 matrix of entry points — `matchN`,
-//! `matchN_in` (workspace-backed), `matchN_obs` (instrumented) — that
-//! every new layer would multiply again. [`Runner`] collapses the
-//! matrix: pick an [`Algorithm`], chain the knobs you need, call
+//! Pick an [`Algorithm`], chain the knobs you need, call
 //! [`Runner::run`] (or [`Runner::try_run`] for the fallible Match3).
-//! Every combination is a thin delegation to the corresponding
-//! `matchN_obs` body, so outputs are **bit-identical** to the legacy
-//! names at every thread count — the legacy entry points remain
-//! exported (deprecated) and the differential suites pin the identity.
+//! Every combination funnels into one private pipeline per algorithm,
+//! generic over the [`Observer`]. Observing a run never changes the
+//! pipeline it runs: phase spans (`enter`/`exit`) fire on the
+//! production path for every observer, and only an observer with
+//! [`Observer::ENABLED`] set additionally takes the paper-bound audits.
+//! Outputs are bit-identical with or without a workspace or observer,
+//! at every thread count.
 //!
 //! ```
 //! use parmatch_core::prelude::*;
@@ -212,8 +212,8 @@ impl From<Match3Error> for RunnerError {
 /// [`rounds`](Runner::rounds) only drives Match2). Without
 /// [`workspace`](Runner::workspace) a fresh arena is used — bit-identical
 /// to a reused one. Without [`observer`](Runner::observer) the
-/// [`NoopObserver`] monomorphisation runs: the allocation-free
-/// steady-state pipeline with every instrumentation site compiled away.
+/// [`NoopObserver`] monomorphisation runs, with every instrumentation
+/// site compiled away.
 #[derive(Debug)]
 pub struct Runner<'w, 'o, O: Observer = NoopObserver> {
     algorithm: Algorithm,
@@ -281,8 +281,7 @@ impl<'w, 'o, O: Observer> Runner<'w, 'o, O> {
         self
     }
 
-    /// Reuse `ws` for every buffer — the zero-allocation steady state of
-    /// the `*_in` pipeline.
+    /// Reuse `ws` for every buffer — the zero-allocation steady state.
     pub fn workspace(self, ws: &mut Workspace) -> Runner<'_, 'o, O> {
         Runner {
             workspace: Some(ws),
@@ -290,9 +289,10 @@ impl<'w, 'o, O: Observer> Runner<'w, 'o, O> {
         }
     }
 
-    /// Attach an [`Observer`]. An enabled one (e.g.
-    /// [`Recorder`](crate::obs::Recorder)) receives the span tree with
-    /// the paper-bound audits; it never changes the outputs.
+    /// Attach an [`Observer`]. Every observer receives the phase spans of
+    /// the production pipeline; an enabled one (e.g.
+    /// [`Recorder`](crate::obs::Recorder)) also takes the paper-bound
+    /// audits. Neither changes the outputs.
     pub fn observer<P: Observer>(self, observer: &mut P) -> Runner<'w, '_, P> {
         Runner {
             algorithm: self.algorithm,
@@ -371,10 +371,9 @@ impl<'w, 'o, O: Observer> Runner<'w, 'o, O> {
     }
 }
 
-/// The single delegation site: every `Runner` combination funnels here,
-/// into the `matchN_obs` bodies the legacy names also wrap — which is
-/// what makes the facade bit-identical to them by construction.
-#[allow(deprecated, clippy::too_many_arguments)]
+/// The single delegation site: every `Runner` combination funnels into
+/// the one pipeline body of its algorithm.
+#[allow(clippy::too_many_arguments)]
 fn dispatch<O: Observer>(
     algorithm: Algorithm,
     variant: CoinVariant,
@@ -386,65 +385,23 @@ fn dispatch<O: Observer>(
     obs: &mut O,
 ) -> Result<MatchOutcome, RunnerError> {
     Ok(match algorithm {
-        Algorithm::Match1 => {
-            MatchOutcome::Match1(crate::match1::match1_obs(list, variant, ws, obs))
-        }
+        Algorithm::Match1 => MatchOutcome::Match1(crate::match1::run(list, variant, ws, obs)),
         Algorithm::Match2 => {
-            MatchOutcome::Match2(crate::match2::match2_obs(list, rounds, variant, ws, obs))
+            MatchOutcome::Match2(crate::match2::run(list, rounds, variant, ws, obs))
         }
-        Algorithm::Match3 => {
-            MatchOutcome::Match3(crate::match3::match3_obs(list, config, ws, obs)?)
-        }
+        Algorithm::Match3 => MatchOutcome::Match3(crate::match3::run(list, config, ws, obs)?),
         Algorithm::Match4 => {
-            MatchOutcome::Match4(crate::match4::match4_obs(list, levels, variant, ws, obs))
+            MatchOutcome::Match4(crate::match4::run(list, levels, variant, ws, obs))
         }
     })
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::obs::Recorder;
     use crate::verify;
     use parmatch_list::{random_list, sequential_list};
-
-    #[test]
-    fn facade_is_bit_identical_to_legacy_names() {
-        let list = random_list(5000, 11);
-        for variant in [CoinVariant::Msb, CoinVariant::Lsb] {
-            let r1 = Runner::new(Algorithm::Match1).variant(variant).run(&list);
-            assert_eq!(
-                r1.matching(),
-                &crate::match1::match1(&list, variant).matching
-            );
-            let r2 = Runner::new(Algorithm::Match2)
-                .variant(variant)
-                .rounds(3)
-                .run(&list);
-            assert_eq!(
-                r2.matching(),
-                &crate::match2::match2(&list, 3, variant).matching
-            );
-            let cfg = Match3Config {
-                variant,
-                ..Match3Config::default()
-            };
-            let r3 = Runner::new(Algorithm::Match3).config(cfg).run(&list);
-            assert_eq!(
-                r3.matching(),
-                &crate::match3::match3(&list, cfg).unwrap().matching
-            );
-            let r4 = Runner::new(Algorithm::Match4)
-                .variant(variant)
-                .levels(2)
-                .run(&list);
-            assert_eq!(
-                r4.matching(),
-                &crate::match4::match4_with(&list, 2, variant).matching
-            );
-        }
-    }
 
     #[test]
     fn all_algorithms_maximal_with_shared_workspace() {

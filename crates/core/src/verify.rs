@@ -10,19 +10,31 @@ use crate::matching::Matching;
 use crate::partition::{PointerSets, NO_POINTER};
 use parmatch_list::{LinkedList, NodeId, NIL};
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 
-/// No two matched pointers share a node.
+/// Every matched tail has a real head, and no node is an endpoint of
+/// two matched pointers.
 ///
-/// Matched pointers `<u, suc u>` and `<v, suc v>` (u ≠ v) share a node
-/// iff `suc(u) = v` or `suc(v) = u`, so it suffices that no matched
-/// pointer's head is another matched pointer's tail.
+/// The check is a set of local per-node tests, in the style of the
+/// self-stabilizing matching papers of Cohen et al.: each matched
+/// pointer claims its tail and its head, and a node claimed twice fails.
+/// Nothing here assumes the list is well-formed, so two matched pointers
+/// into one shared head are caught as well as two adjacent ones.
 pub fn is_matching(list: &LinkedList, m: &Matching) -> bool {
-    (0..list.len() as NodeId).into_par_iter().all(|v| {
+    let n = list.len();
+    if m.mask().len() != n {
+        return false;
+    }
+    let claimed: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
+    // The swap publishes no other data; at any ordering exactly one
+    // claimant of a node reads `false`.
+    let claim = |x: NodeId| !claimed[x as usize].swap(true, Ordering::Relaxed);
+    (0..n as NodeId).into_par_iter().all(|v| {
         if !m.contains_tail(v) {
             return true;
         }
         let head = list.next_raw(v);
-        head != NIL && !m.contains_tail(head)
+        head != NIL && claim(v) && claim(head)
     })
 }
 
@@ -122,6 +134,17 @@ mod tests {
         let l = chain(4);
         let m = Matching::from_mask(&l, vec![true, true, false, false]);
         assert!(!is_matching(&l, &m));
+    }
+
+    #[test]
+    fn shared_head_is_not_matching() {
+        // Two pointers into node 2 (node 1 is unreachable): matching both
+        // uses node 2 twice, though no head is another matched tail.
+        let l = LinkedList::from_parts(vec![2, 2, NIL], 0);
+        let both = Matching::from_mask(&l, vec![true, true, false]);
+        assert!(!is_matching(&l, &both));
+        let one = Matching::from_mask(&l, vec![false, true, false]);
+        assert!(is_matching(&l, &one));
     }
 
     #[test]

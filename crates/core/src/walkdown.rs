@@ -29,6 +29,7 @@
 //! 3-coloring of *all* pointers — the "minor adjustment … in combining
 //! the partitions" the paper alludes to is simply sharing one palette.
 
+use crate::obs::{NoopObserver, Observer};
 use crate::partition::{PointerSets, NO_POINTER};
 use crate::workspace::CHUNK;
 use parmatch_bits::Word;
@@ -101,10 +102,10 @@ impl Grid {
     }
 
     /// [`Grid::new`] over raw set values, building into caller-provided
-    /// scratch and storage (the zero-allocation path of the `*_in`
-    /// drivers). The column sort is `sort_unstable` on `(key, node)`
-    /// pairs — ties broken by ascending node id, which reproduces the
-    /// stable counting-sort order exactly.
+    /// scratch and storage (the zero-allocation production path). The
+    /// column sort is `sort_unstable` on `(key, node)` pairs — ties
+    /// broken by ascending node id, which reproduces the stable
+    /// counting-sort order exactly.
     pub(crate) fn new_in(
         list: &LinkedList,
         sets: &[Word],
@@ -228,11 +229,13 @@ impl Grid {
 
     /// The sorted key column (`A` array) of column `c` — exposed for the
     /// Lemma 7 experiments.
+    #[inline]
     pub fn column_keys(&self, c: usize) -> &[Word] {
         &self.keys[c * self.x..((c + 1) * self.x).min(self.n)]
     }
 
     /// The sorted node column of column `c`.
+    #[inline]
     pub fn column_elems(&self, c: usize) -> &[NodeId] {
         &self.elems[c * self.x..((c + 1) * self.x).min(self.n)]
     }
@@ -265,8 +268,18 @@ fn pick_color(
 /// lockstep rounds. Returns the number of rounds executed (= rows).
 ///
 /// `colors` must be sized `n` and is updated in place; entries of
-/// pointers this pass does not own are only read.
-pub fn walkdown1(list: &LinkedList, grid: &Grid, pred: &[NodeId], colors: &[AtomicU8]) -> usize {
+/// pointers this pass does not own are only read. The `walkdown1` span
+/// is opened and closed for every observer; an auditing observer also
+/// gets the round count audited against Lemma 6's `x` lockstep rounds,
+/// the processor-rounds of lockstep work, and the running
+/// colored-pointer total.
+pub(crate) fn walkdown1<O: Observer>(
+    list: &LinkedList,
+    grid: &Grid,
+    pred: &[NodeId],
+    colors: &[AtomicU8],
+    obs: &mut O,
+) -> usize {
     for r in 0..grid.rows() {
         (0..grid.cols()).into_par_iter().for_each(|c| {
             let col = grid.column_elems(c);
@@ -279,25 +292,33 @@ pub fn walkdown1(list: &LinkedList, grid: &Grid, pred: &[NodeId], colors: &[Atom
             colors[v as usize].store(color, Ordering::Relaxed);
         });
     }
-    grid.rows()
+    let rounds = grid.rows();
+    obs.enter("walkdown1");
+    if O::ENABLED {
+        obs.bounded("rounds", rounds as u64, grid.rows() as u64);
+        obs.counter("lockstep_work", rounds as u64 * grid.cols() as u64);
+        obs.counter("colored", count_colored(colors));
+    }
+    obs.exit();
+    rounds
 }
 
 /// WalkDown2 (Lemma 7): 3-color every **intra-row** pointer with the
-/// count/index pipeline in `2x − 1` lockstep steps. Returns the number
-/// of steps executed.
-pub fn walkdown2(list: &LinkedList, grid: &Grid, pred: &[NodeId], colors: &[AtomicU8]) -> usize {
-    let mut state = Vec::new();
-    walkdown2_in(list, grid, pred, colors, &mut state)
-}
-
-/// [`walkdown2`] with the per-column pipeline state in a caller-provided
-/// buffer (the zero-allocation path).
-pub(crate) fn walkdown2_in(
+/// count/index pipeline in `2x − 1` lockstep steps, keeping the
+/// per-column pipeline state in `state`. Returns the number of steps
+/// executed.
+///
+/// The `walkdown2` span is opened and closed for every observer; an
+/// auditing observer also gets the step count audited against
+/// Corollary 1's `2x − 1` pipeline steps, the lockstep work, and the
+/// colored total (now every real pointer).
+pub(crate) fn walkdown2<O: Observer>(
     list: &LinkedList,
     grid: &Grid,
     pred: &[NodeId],
     colors: &[AtomicU8],
     state: &mut Vec<(usize, Word)>,
+    obs: &mut O,
 ) -> usize {
     let x = grid.rows();
     let steps = 2 * x - 1;
@@ -332,60 +353,22 @@ pub(crate) fn walkdown2_in(
         .iter()
         .enumerate()
         .all(|(c, (index, _))| *index >= grid.column_elems(c).len()));
+    obs.enter("walkdown2");
+    if O::ENABLED {
+        obs.bounded("steps", steps as u64, (2 * x - 1) as u64);
+        obs.counter("lockstep_work", steps as u64 * grid.cols() as u64);
+        obs.counter("colored", count_colored(colors));
+    }
+    obs.exit();
     steps
 }
 
-/// Pointers colored so far (diagnostic for the observer wrappers).
+/// Pointers colored so far (the walkdown audits' running total).
 fn count_colored(colors: &[AtomicU8]) -> u64 {
     colors
         .iter()
         .filter(|a| a.load(Ordering::Relaxed) != UNCOLORED)
         .count() as u64
-}
-
-/// [`walkdown1`] with an [`Observer`](crate::obs::Observer): records a
-/// `walkdown1` span with the round count audited against Lemma 6's `x`
-/// lockstep rounds, the processor-rounds of lockstep work, and the
-/// running colored-pointer total.
-pub(crate) fn walkdown1_obs<O: crate::obs::Observer>(
-    list: &LinkedList,
-    grid: &Grid,
-    pred: &[NodeId],
-    colors: &[AtomicU8],
-    obs: &mut O,
-) -> usize {
-    let r = walkdown1(list, grid, pred, colors);
-    if O::ENABLED {
-        obs.enter("walkdown1");
-        obs.bounded("rounds", r as u64, grid.rows() as u64);
-        obs.counter("lockstep_work", r as u64 * grid.cols() as u64);
-        obs.counter("colored", count_colored(colors));
-        obs.exit();
-    }
-    r
-}
-
-/// [`walkdown2_in`] with an [`Observer`](crate::obs::Observer): records
-/// a `walkdown2` span with the step count audited against Corollary 1's
-/// `2x − 1` pipeline steps, the lockstep work, and the colored total
-/// (now every real pointer).
-pub(crate) fn walkdown2_obs<O: crate::obs::Observer>(
-    list: &LinkedList,
-    grid: &Grid,
-    pred: &[NodeId],
-    colors: &[AtomicU8],
-    state: &mut Vec<(usize, Word)>,
-    obs: &mut O,
-) -> usize {
-    let r = walkdown2_in(list, grid, pred, colors, state);
-    if O::ENABLED {
-        obs.enter("walkdown2");
-        obs.bounded("steps", r as u64, (2 * grid.rows() - 1) as u64);
-        obs.counter("lockstep_work", r as u64 * grid.cols() as u64);
-        obs.counter("colored", count_colored(colors));
-        obs.exit();
-    }
-    r
 }
 
 /// Run both walks and return a proper 3-coloring of all pointers as a
@@ -394,8 +377,15 @@ pub(crate) fn walkdown2_obs<O: crate::obs::Observer>(
 pub fn color_pointers(list: &LinkedList, grid: &Grid) -> (Vec<u8>, usize) {
     let pred = list.pred_array();
     let colors: Vec<AtomicU8> = (0..list.len()).map(|_| AtomicU8::new(UNCOLORED)).collect();
-    let r1 = walkdown1(list, grid, &pred, &colors);
-    let r2 = walkdown2(list, grid, &pred, &colors);
+    let r1 = walkdown1(list, grid, &pred, &colors, &mut NoopObserver);
+    let r2 = walkdown2(
+        list,
+        grid,
+        &pred,
+        &colors,
+        &mut Vec::new(),
+        &mut NoopObserver,
+    );
     let colors: Vec<u8> = colors.into_iter().map(AtomicU8::into_inner).collect();
     (colors, r1 + r2)
 }

@@ -1,8 +1,9 @@
 //! A reusable buffer arena for the native match pipeline.
 //!
-//! Every native driver has a `*_in` variant taking a `&mut Workspace`;
-//! after the first call on a given list size, subsequent calls run
-//! **zero-allocation steady-state** — every per-node array (labels,
+//! Every native pipeline runs in a `Workspace` (pass one to
+//! [`Runner::workspace`](crate::runner::Runner::workspace) to keep it
+//! across runs); after the first run on a given list size, subsequent
+//! runs are **zero-allocation steady-state** — every per-node array (labels,
 //! successor/predecessor caches, cut masks, walkdown colors, greedy
 //! buckets, grid storage) lives here and is resized (a no-op when the
 //! size is unchanged) and refilled in parallel.
@@ -27,7 +28,7 @@ use crate::CoinVariant;
 /// in L1/L2.
 pub(crate) const CHUNK: usize = 1 << 13;
 
-/// Reusable buffers for the native `match1`–`match4` drivers.
+/// Reusable buffers for the native Match1–Match4 pipelines.
 ///
 /// # Examples
 ///

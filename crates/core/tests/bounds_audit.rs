@@ -1,7 +1,8 @@
 //! Bound-audit suite: every counter the observability layer records
 //! with a paper bound must satisfy it, across a log-spaced size grid
 //! and all four matchers — and the audited runs must be bit-identical
-//! to the plain `*_in` pipelines.
+//! to unobserved ones. An observer that takes no audits must see the
+//! phase spans of exactly the pipeline an unobserved run executes.
 //!
 //! The paper claims audited here:
 //!
@@ -17,20 +18,29 @@
 //!   constant `c`, asserted per matcher below and recorded as
 //!   `work_per_node_x100`.
 
-// These differential suites deliberately pin the deprecated legacy entry
-// points: they are the ground truth the Runner facade must stay
-// bit-identical to.
-#![allow(deprecated)]
-
 use parmatch_bits::{g_of, ilog2_ceil, log_star};
-use parmatch_core::{
-    match1_in, match1_obs, match2_in, match2_obs, match3_in, match3_obs, match4_in, match4_obs,
-    CoinVariant, Match3Config, Recorder, Recording, Workspace,
-};
-use parmatch_list::random_list;
+use parmatch_core::obs::Span;
+use parmatch_core::prelude::*;
+use parmatch_list::{random_list, LinkedList};
 
 /// Log-spaced size grid (powers of 4).
 const GRID: [u64; 7] = [16, 64, 256, 1024, 4096, 16384, 65536];
+
+/// One `Runner` run of `algo` (defaults, `variant`) on `ws`, recorded.
+fn recorded(
+    algo: Algorithm,
+    variant: CoinVariant,
+    list: &LinkedList,
+    ws: &mut Workspace,
+) -> (MatchOutcome, Recording) {
+    let mut r = Recorder::new();
+    let out = Runner::new(algo)
+        .variant(variant)
+        .workspace(ws)
+        .observer(&mut r)
+        .run(list);
+    (out, r.finish())
+}
 
 fn assert_all_pass(rec: &Recording, what: &str) {
     for a in rec.audits() {
@@ -47,9 +57,8 @@ fn match1_bounds_hold_on_grid() {
     let mut ws = Workspace::new();
     for &n in &GRID {
         let list = random_list(n as usize, n ^ 7);
-        let mut r = Recorder::new();
-        let out = match1_obs(&list, CoinVariant::Msb, &mut ws, &mut r);
-        let rec = r.finish();
+        let (out, rec) = recorded(Algorithm::Match1, CoinVariant::Msb, &list, &mut ws);
+        let out = out.as_match1().unwrap();
         assert_all_pass(&rec, "match1");
 
         // Lemma 1: the first census is audited against exactly 2⌈log₂ n⌉.
@@ -79,9 +88,8 @@ fn match2_bounds_hold_on_grid() {
     let mut ws = Workspace::new();
     for &n in &GRID {
         let list = random_list(n as usize, n ^ 21);
-        let mut r = Recorder::new();
-        let out = match2_obs(&list, 2, CoinVariant::Msb, &mut ws, &mut r);
-        let rec = r.finish();
+        let (out, rec) = recorded(Algorithm::Match2, CoinVariant::Msb, &list, &mut ws);
+        let out = out.as_match2().unwrap();
         assert_all_pass(&rec, "match2");
         let census = rec
             .audits()
@@ -100,10 +108,8 @@ fn match3_bounds_hold_on_grid() {
     let mut ws = Workspace::new();
     for &n in &GRID {
         let list = random_list(n as usize, n ^ 5);
-        let mut r = Recorder::new();
-        let out = match3_obs(&list, Match3Config::default(), &mut ws, &mut r)
-            .expect("default config fits");
-        let rec = r.finish();
+        let (out, rec) = recorded(Algorithm::Match3, CoinVariant::Msb, &list, &mut ws);
+        let out = out.as_match3().unwrap();
         assert_all_pass(&rec, "match3");
         assert!(out.jump_rounds >= 1);
         let wu = rec.find("work_units").expect("work recorded");
@@ -116,9 +122,8 @@ fn match4_bounds_hold_on_grid() {
     let mut ws = Workspace::new();
     for &n in &GRID {
         let list = random_list(n as usize, n ^ 13);
-        let mut r = Recorder::new();
-        let out = match4_obs(&list, 2, CoinVariant::Msb, &mut ws, &mut r);
-        let rec = r.finish();
+        let (out, rec) = recorded(Algorithm::Match4, CoinVariant::Msb, &list, &mut ws);
+        let out = out.as_match4().unwrap();
         assert_all_pass(&rec, "match4");
 
         // Lemmas 6–7: the walk rounds audit is present and tight.
@@ -137,39 +142,84 @@ fn match4_bounds_hold_on_grid() {
 #[test]
 fn audited_runs_are_bit_identical_to_plain() {
     // Enabling a real observer must not change one output bit relative
-    // to the uninstrumented pipelines (which themselves are the NoopObserver
-    // path of the same code).
+    // to an unobserved run.
     let mut ws_a = Workspace::new();
     let mut ws_b = Workspace::new();
     for &n in &[97u64, 1024, 6000] {
         let list = random_list(n as usize, n);
         for variant in [CoinVariant::Msb, CoinVariant::Lsb] {
-            let plain = match1_in(&list, variant, &mut ws_a);
-            let mut r = Recorder::new();
-            let obs = match1_obs(&list, variant, &mut ws_b, &mut r);
-            assert_eq!(plain.matching, obs.matching, "match1 n={n}");
-            assert_eq!(plain.final_bound, obs.final_bound);
+            for algo in Algorithm::ALL {
+                let plain = Runner::new(algo)
+                    .variant(variant)
+                    .workspace(&mut ws_a)
+                    .run(&list);
+                let (obs, _) = recorded(algo, variant, &list, &mut ws_b);
+                assert_eq!(plain.matching(), obs.matching(), "{algo} n={n}");
+                if let (Some(p), Some(o)) = (plain.as_match1(), obs.as_match1()) {
+                    assert_eq!(p.final_bound, o.final_bound);
+                }
+                if let (Some(p), Some(o)) = (plain.as_match4(), obs.as_match4()) {
+                    assert_eq!(p.distinct_sets, o.distinct_sets);
+                    assert_eq!(p.walk_rounds, o.walk_rounds);
+                }
+            }
+        }
+    }
+}
 
-            let plain = match2_in(&list, 2, variant, &mut ws_a);
-            let mut r = Recorder::new();
-            let obs = match2_obs(&list, 2, variant, &mut ws_b, &mut r);
-            assert_eq!(plain.matching, obs.matching, "match2 n={n}");
+/// A test-only observer that takes no audits (`ENABLED = false`) and
+/// logs the label of every span it is asked to open.
+#[derive(Default)]
+struct PhaseLog {
+    entered: Vec<String>,
+}
 
-            let cfg = Match3Config {
-                variant,
-                ..Match3Config::default()
-            };
-            let plain = match3_in(&list, cfg, &mut ws_a).unwrap();
-            let mut r = Recorder::new();
-            let obs = match3_obs(&list, cfg, &mut ws_b, &mut r).unwrap();
-            assert_eq!(plain.matching, obs.matching, "match3 n={n}");
+impl Observer for PhaseLog {
+    const ENABLED: bool = false;
 
-            let plain = match4_in(&list, 2, variant, &mut ws_a);
-            let mut r = Recorder::new();
-            let obs = match4_obs(&list, 2, variant, &mut ws_b, &mut r);
-            assert_eq!(plain.matching, obs.matching, "match4 n={n}");
-            assert_eq!(plain.distinct_sets, obs.distinct_sets);
-            assert_eq!(plain.walk_rounds, obs.walk_rounds);
+    fn enter(&mut self, label: &str) {
+        self.entered.push(label.to_owned());
+    }
+
+    fn exit(&mut self) {}
+
+    fn counter(&mut self, name: &str, _: u64) {
+        panic!("unaudited observer got counter {name}");
+    }
+
+    fn bounded(&mut self, name: &str, _: u64, _: u64) {
+        panic!("unaudited observer got bounded counter {name}");
+    }
+}
+
+/// Span labels of `spans` in the order they were entered, skipping the
+/// per-round `round` spans only an auditing run records.
+fn entered_labels(spans: &[Span], out: &mut Vec<String>) {
+    for span in spans.iter().filter(|s| s.label != "round") {
+        out.push(span.label.clone());
+        entered_labels(&span.children, out);
+    }
+}
+
+#[test]
+fn unaudited_observer_sees_the_production_phases() {
+    let mut ws = Workspace::new();
+    for n in [2usize, 97, 5000] {
+        let list = random_list(n, n as u64);
+        for algo in Algorithm::ALL {
+            let plain = Runner::new(algo).run(&list);
+            let mut log = PhaseLog::default();
+            let logged = Runner::new(algo)
+                .workspace(&mut ws)
+                .observer(&mut log)
+                .run(&list);
+            assert_eq!(plain.matching(), logged.matching(), "{algo} n={n}");
+
+            let (_, rec) = recorded(algo, CoinVariant::Msb, &list, &mut Workspace::new());
+            let mut want = Vec::new();
+            entered_labels(rec.spans(), &mut want);
+            assert_eq!(log.entered, want, "{algo} n={n}");
+            assert_eq!(log.entered.first().map(String::as_str), Some(algo.name()));
         }
     }
 }
@@ -178,9 +228,8 @@ fn audited_runs_are_bit_identical_to_plain() {
 fn recordings_are_deterministic_across_runs() {
     let list = random_list(3000, 42);
     let render = |ws: &mut Workspace| {
-        let mut r = Recorder::new();
-        match4_obs(&list, 2, CoinVariant::Msb, ws, &mut r);
-        r.finish().render()
+        let (_, rec) = recorded(Algorithm::Match4, CoinVariant::Msb, &list, ws);
+        rec.render()
     };
     let mut ws = Workspace::new();
     let a = render(&mut ws);

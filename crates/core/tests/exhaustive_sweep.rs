@@ -10,14 +10,9 @@
 //! and the 2x−2 last-step bound exhaustively rather than on spot
 //! columns.
 
-// These differential suites deliberately pin the deprecated legacy entry
-// points: they are the ground truth the Runner facade must stay
-// bit-identical to.
-#![allow(deprecated)]
-
 use parmatch_core::pram_impl::{match2_pram, match3_pram, match4_pram};
+use parmatch_core::prelude::*;
 use parmatch_core::walkdown::walkdown2_schedule;
-use parmatch_core::{match2, match3, match4_with, verify, CoinVariant, Match3Config};
 use parmatch_list::{LinkedList, NodeId};
 use parmatch_pram::ExecMode;
 
@@ -48,21 +43,24 @@ fn every_list_up_to_7_nodes_pram_equals_native() {
         for perm in permutations(n) {
             let list = LinkedList::from_order(&perm);
 
-            let native2 = match2(&list, 2, CoinVariant::Msb);
+            let native2 = Runner::new(Algorithm::Match2).run(&list);
             let pram2 = match2_pram(&list, n, 2, CoinVariant::Msb, ExecMode::Checked)
                 .unwrap_or_else(|e| panic!("match2 {perm:?}: {e}"));
-            assert_eq!(pram2.matching, native2.matching, "match2 on {perm:?}");
+            assert_eq!(&pram2.matching, native2.matching(), "match2 on {perm:?}");
             verify::assert_maximal_matching(&list, &pram2.matching);
 
-            let native3 = match3(&list, lean).unwrap_or_else(|e| panic!("match3 {perm:?}: {e}"));
+            let native3 = Runner::new(Algorithm::Match3)
+                .config(lean)
+                .try_run(&list)
+                .unwrap_or_else(|e| panic!("match3 {perm:?}: {e}"));
             let pram3 = match3_pram(&list, 2, lean, ExecMode::Checked)
                 .unwrap_or_else(|e| panic!("match3_pram {perm:?}: {e}"));
-            assert_eq!(pram3.matching, native3.matching, "match3 on {perm:?}");
+            assert_eq!(&pram3.matching, native3.matching(), "match3 on {perm:?}");
 
-            let native4 = match4_with(&list, 2, CoinVariant::Msb);
+            let native4 = Runner::new(Algorithm::Match4).run(&list);
             let pram4 = match4_pram(&list, 2, None, CoinVariant::Msb, ExecMode::Checked)
                 .unwrap_or_else(|e| panic!("match4 {perm:?}: {e}"));
-            assert_eq!(pram4.matching, native4.matching, "match4 on {perm:?}");
+            assert_eq!(&pram4.matching, native4.matching(), "match4 on {perm:?}");
 
             checked += 1;
         }

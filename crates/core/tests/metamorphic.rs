@@ -24,20 +24,13 @@
 //!   relation is stated for aligned shifts; `shift_breaks_alignment`
 //!   pins a counterexample so nobody "generalizes" this later.)
 //!
-//! Every relation is checked through both the fresh entry points and
-//! the workspace-backed `*_in` twins.
-
-// These differential suites deliberately pin the deprecated legacy entry
-// points: they are the ground truth the Runner facade must stay
-// bit-identical to.
-#![allow(deprecated)]
+//! Every relation is checked through [`Runner`] runs with a fresh and
+//! with a reused workspace.
 
 use parmatch_bits::BitReversalTable;
 use parmatch_core::finish::from_labels;
-use parmatch_core::{
-    f_pair, match1, match1_in, match2, match2_in, match3, match3_in, match4_in, match4_with,
-    verify, CoinVariant, LabelSeq, Match3Config, Matching, Workspace,
-};
+use parmatch_core::prelude::*;
+use parmatch_core::{f_pair, LabelSeq};
 use parmatch_list::{random_list, LinkedList, NodeId, NIL};
 use proptest::prelude::*;
 
@@ -92,28 +85,24 @@ fn shuffle(n: usize, seed: u64) -> Vec<NodeId> {
     p
 }
 
-/// All four matchers on `list`, through fresh and `*_in` paths (asserted
-/// identical), as a labeled vec.
+/// All four matchers on `list`, with a fresh and a reused workspace
+/// (asserted identical), as a labeled vec.
 fn all_matchings(list: &LinkedList) -> Vec<(&'static str, Matching)> {
     let mut ws = Workspace::new();
     let cfg = Match3Config {
         jump_rounds: Some(1),
         ..Match3Config::default()
     };
-    let m1 = match1(list, CoinVariant::Msb).matching;
-    assert_eq!(m1, match1_in(list, CoinVariant::Msb, &mut ws).matching);
-    let m2 = match2(list, 2, CoinVariant::Msb).matching;
-    assert_eq!(m2, match2_in(list, 2, CoinVariant::Msb, &mut ws).matching);
-    let m3 = match3(list, cfg).unwrap().matching;
-    assert_eq!(m3, match3_in(list, cfg, &mut ws).unwrap().matching);
-    let m4 = match4_with(list, 2, CoinVariant::Msb).matching;
-    assert_eq!(m4, match4_in(list, 2, CoinVariant::Msb, &mut ws).matching);
-    vec![
-        ("match1", m1),
-        ("match2", m2),
-        ("match3", m3),
-        ("match4", m4),
-    ]
+    Algorithm::ALL
+        .into_iter()
+        .map(|algo| {
+            let runner = || Runner::new(algo).config(cfg);
+            let fresh = runner().run(list).into_matching();
+            let reused = runner().workspace(&mut ws).run(list).into_matching();
+            assert_eq!(fresh, reused, "{algo}");
+            (algo.name(), fresh)
+        })
+        .collect()
 }
 
 proptest! {
@@ -172,7 +161,7 @@ proptest! {
     /// Aligned constant shift: adding `c ≡ 0 (mod 2^k)` to all initial
     /// labels (addresses `< 2^k`) leaves every label array after
     /// `k ≥ 1` rounds bit-identical, hence the finisher output too —
-    /// through the fused `relabel_k` path (which is the `*_in` kernel).
+    /// through the reference `relabel_k` path.
     #[test]
     fn aligned_shift_is_exactly_invariant(
         n in 2usize..400,

@@ -1,22 +1,15 @@
-//! Differential tests for the native parallel pipeline: the
-//! workspace-backed `*_in` drivers must be **bit-identical** to the
-//! reference composition paths at every thread count, and a reused
-//! [`Workspace`] must never leak state between runs.
+//! Differential tests for the native parallel pipeline: [`Runner`] runs
+//! on a reused [`Workspace`] must be **bit-identical** to fresh-workspace
+//! runs and to the reference composition paths at every thread count,
+//! and a reused workspace must never leak state between runs.
 //!
 //! Thread counts are driven through [`rayon::ThreadPoolBuilder`] — the
 //! shim's pool honors `install`, so each block below re-runs the whole
 //! pipeline on pools of 1, 2 and 8 workers and compares raw outputs.
 
-// These differential suites deliberately pin the deprecated legacy entry
-// points: they are the ground truth the Runner facade must stay
-// bit-identical to.
-#![allow(deprecated)]
-
 use parmatch_core::finish::from_labels;
-use parmatch_core::{
-    match1, match1_in, match2, match2_in, match3, match3_in, match4_in, match4_with, CoinVariant,
-    LabelSeq, Match3Config, Matching, Workspace,
-};
+use parmatch_core::prelude::*;
+use parmatch_core::LabelSeq;
 use parmatch_list::{blocked_list, random_list, reversed_list, sequential_list, LinkedList};
 
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -41,8 +34,8 @@ fn layouts() -> Vec<LinkedList> {
     ]
 }
 
-/// match1 through one reused workspace equals the fresh-allocation
-/// public driver, across thread counts and layouts.
+/// Match1 through one reused workspace equals a fresh-workspace run,
+/// across thread counts and layouts.
 #[test]
 fn match1_bit_identical_across_threads() {
     for variant in [CoinVariant::Msb, CoinVariant::Lsb] {
@@ -53,12 +46,15 @@ fn match1_bit_identical_across_threads() {
                 layouts()
                     .iter()
                     .map(|list| {
-                        let fresh = match1(list, variant);
-                        let reused = match1_in(list, variant, &mut ws);
+                        let runner = || Runner::new(Algorithm::Match1).variant(variant);
+                        let fresh = runner().run(list);
+                        let reused = runner().workspace(&mut ws).run(list);
+                        let (fresh, reused) =
+                            (fresh.as_match1().unwrap(), reused.as_match1().unwrap());
                         assert_eq!(fresh.matching, reused.matching, "ws reuse differs");
                         assert_eq!(fresh.rounds, reused.rounds);
                         assert_eq!(fresh.final_bound, reused.final_bound);
-                        reused.matching
+                        reused.matching.clone()
                     })
                     .collect()
             });
@@ -71,7 +67,7 @@ fn match1_bit_identical_across_threads() {
     }
 }
 
-/// match2 likewise, over several round counts.
+/// Match2 likewise, over several round counts.
 #[test]
 fn match2_bit_identical_across_threads() {
     let mut reference: Vec<Matching> = Vec::new();
@@ -81,10 +77,11 @@ fn match2_bit_identical_across_threads() {
             let mut all = Vec::new();
             for list in &layouts() {
                 for rounds in [1u32, 2, 3] {
-                    let fresh = match2(list, rounds, CoinVariant::Msb);
-                    let reused = match2_in(list, rounds, CoinVariant::Msb, &mut ws);
-                    assert_eq!(fresh.matching, reused.matching, "ws reuse differs");
-                    all.push(reused.matching);
+                    let runner = || Runner::new(Algorithm::Match2).rounds(rounds);
+                    let fresh = runner().run(list).into_matching();
+                    let reused = runner().workspace(&mut ws).run(list).into_matching();
+                    assert_eq!(fresh, reused, "ws reuse differs");
+                    all.push(reused);
                 }
             }
             all
@@ -97,7 +94,7 @@ fn match2_bit_identical_across_threads() {
     }
 }
 
-/// match3 likewise — the cached table must not change results when hit.
+/// Match3 likewise — the cached table must not change results when hit.
 #[test]
 fn match3_bit_identical_across_threads() {
     let cfg = Match3Config::default();
@@ -108,14 +105,20 @@ fn match3_bit_identical_across_threads() {
             layouts()
                 .iter()
                 .map(|list| {
-                    let fresh = match3(list, cfg).unwrap();
+                    let runner = || Runner::new(Algorithm::Match3).config(cfg);
+                    let fresh = runner().run(list);
                     // second call hits the table cache
-                    let reused = match3_in(list, cfg, &mut ws).unwrap();
-                    let cached = match3_in(list, cfg, &mut ws).unwrap();
+                    let reused = runner().workspace(&mut ws).run(list);
+                    let cached = runner().workspace(&mut ws).run(list);
+                    let (fresh, reused) = (fresh.as_match3().unwrap(), reused.as_match3().unwrap());
                     assert_eq!(fresh.matching, reused.matching, "ws reuse differs");
-                    assert_eq!(reused.matching, cached.matching, "table cache differs");
+                    assert_eq!(
+                        reused.matching,
+                        cached.into_matching(),
+                        "table cache differs"
+                    );
                     assert_eq!(fresh.final_bound, reused.final_bound);
-                    reused.matching
+                    reused.matching.clone()
                 })
                 .collect()
         });
@@ -127,7 +130,7 @@ fn match3_bit_identical_across_threads() {
     }
 }
 
-/// match4 likewise, over i ∈ {1, 2, 3}; diagnostics must agree too.
+/// Match4 likewise, over i ∈ {1, 2, 3}; diagnostics must agree too.
 #[test]
 fn match4_bit_identical_across_threads() {
     let mut reference: Vec<Matching> = Vec::new();
@@ -137,14 +140,16 @@ fn match4_bit_identical_across_threads() {
             let mut all = Vec::new();
             for list in &layouts() {
                 for i in [1u32, 2, 3] {
-                    let fresh = match4_with(list, i, CoinVariant::Msb);
-                    let reused = match4_in(list, i, CoinVariant::Msb, &mut ws);
+                    let runner = || Runner::new(Algorithm::Match4).levels(i);
+                    let fresh = runner().run(list);
+                    let reused = runner().workspace(&mut ws).run(list);
+                    let (fresh, reused) = (fresh.as_match4().unwrap(), reused.as_match4().unwrap());
                     assert_eq!(fresh.matching, reused.matching, "ws reuse differs");
                     assert_eq!(fresh.rows, reused.rows);
                     assert_eq!(fresh.cols, reused.cols);
                     assert_eq!(fresh.distinct_sets, reused.distinct_sets);
                     assert_eq!(fresh.walk_rounds, reused.walk_rounds);
-                    all.push(reused.matching);
+                    all.push(reused.matching.clone());
                 }
             }
             all
@@ -157,8 +162,8 @@ fn match4_bit_identical_across_threads() {
     }
 }
 
-/// The fused relabel path (through `relabel_k` / `relabel_to_convergence`)
-/// is identical across thread counts, label for label.
+/// The reference relabel path (`relabel_to_convergence`) is identical
+/// across thread counts, label for label.
 #[test]
 fn relabel_convergence_identical_across_threads() {
     for list in [random_list(6000, 21), blocked_list(2500, 16, 22)] {
@@ -201,15 +206,10 @@ fn interleaved_workspace_reuse_is_clean() {
     let sizes = [4000usize, 100, 2500, 2, 900];
     for (k, &n) in sizes.iter().enumerate() {
         let list = random_list(n, 40 + k as u64);
-        let m1 = match1_in(&list, CoinVariant::Msb, &mut ws).matching;
-        let m2 = match2_in(&list, 2, CoinVariant::Msb, &mut ws).matching;
-        let m3 = match3_in(&list, Match3Config::default(), &mut ws)
-            .unwrap()
-            .matching;
-        let m4 = match4_in(&list, 2, CoinVariant::Msb, &mut ws).matching;
-        assert_eq!(m1, match1(&list, CoinVariant::Msb).matching);
-        assert_eq!(m2, match2(&list, 2, CoinVariant::Msb).matching);
-        assert_eq!(m3, match3(&list, Match3Config::default()).unwrap().matching);
-        assert_eq!(m4, match4_with(&list, 2, CoinVariant::Msb).matching);
+        for algo in Algorithm::ALL {
+            let reused = Runner::new(algo).workspace(&mut ws).run(&list);
+            let fresh = Runner::new(algo).run(&list);
+            assert_eq!(reused.matching(), fresh.matching(), "{algo} n={n}");
+        }
     }
 }

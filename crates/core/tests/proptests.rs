@@ -6,21 +6,20 @@
 //! properties that drive the simulated PRAM (or build Match3 jump
 //! tables) under the debug-profile conflict checker stay at 48.
 
-// These differential suites deliberately pin the deprecated legacy entry
-// points: they are the ground truth the Runner facade must stay
-// bit-identical to.
-#![allow(deprecated)]
-
 use parmatch_core::pram_impl::{
     match1_pram, match2_pram, match3_pram, match4_pram, rank_pram, wyllie_pram,
 };
-use parmatch_core::{
-    f_pair, match1, match1_in, match2, match2_in, match3, match3_in, match4_in, match4_with,
-    pointer_sets, verify, CoinVariant, LabelSeq, Match3Config, Workspace,
-};
+use parmatch_core::prelude::*;
+use parmatch_core::{f_pair, pointer_sets, LabelSeq};
 use parmatch_list::{blocked_list, random_list, LinkedList, NodeId};
 use parmatch_pram::ExecMode;
 use proptest::prelude::*;
+
+/// The matching of a `Runner` run of `algo` with its defaults and
+/// `variant`.
+fn matched(algo: Algorithm, list: &LinkedList, variant: CoinVariant) -> Matching {
+    Runner::new(algo).variant(variant).run(list).into_matching()
+}
 
 prop_compose! {
     /// Arbitrary list: a random permutation order derived from a seed.
@@ -64,7 +63,7 @@ proptest! {
     #[test]
     fn blocked_layout(n in 2usize..800, block in 1usize..64, seed in any::<u64>()) {
         let list = blocked_list(n, block, seed);
-        let m = match4_with(&list, 2, CoinVariant::Msb).matching;
+        let m = matched(Algorithm::Match4, &list, CoinVariant::Msb);
         verify::assert_maximal_matching(&list, &m);
     }
 
@@ -72,30 +71,25 @@ proptest! {
     #[test]
     fn size_band(list in list_strategy()) {
         let p = list.pointer_count();
-        for m in [
-            match1(&list, CoinVariant::Msb).matching,
-            match2(&list, 2, CoinVariant::Msb).matching,
-            match4_with(&list, 2, CoinVariant::Msb).matching,
-        ] {
+        for algo in [Algorithm::Match1, Algorithm::Match2, Algorithm::Match4] {
+            let m = matched(algo, &list, CoinVariant::Msb);
             prop_assert!(3 * m.len() >= p, "too small: {} of {p}", m.len());
             prop_assert!(2 * m.len() <= p + 1, "too large: {} of {p}", m.len());
         }
     }
 
-    /// The workspace-backed drivers are bit-identical to the fresh
-    /// allocation paths on arbitrary lists — including through a reused
-    /// workspace warmed up on a *different* list.
+    /// Runs on a reused workspace are bit-identical to fresh-workspace
+    /// runs on arbitrary lists — including through a workspace warmed up
+    /// on a *different* list.
     #[test]
     fn workspace_drivers_bit_identical(list in list_strategy(), warm in list_strategy()) {
         let mut ws = Workspace::new();
         // warm the arena on an unrelated size so stale state would show
-        let _ = match4_in(&warm, 2, CoinVariant::Msb, &mut ws);
-        let m1 = match1_in(&list, CoinVariant::Msb, &mut ws);
-        prop_assert_eq!(m1.matching, match1(&list, CoinVariant::Msb).matching);
-        let m2 = match2_in(&list, 2, CoinVariant::Msb, &mut ws);
-        prop_assert_eq!(m2.matching, match2(&list, 2, CoinVariant::Msb).matching);
-        let m4 = match4_in(&list, 2, CoinVariant::Msb, &mut ws);
-        prop_assert_eq!(m4.matching, match4_with(&list, 2, CoinVariant::Msb).matching);
+        let _ = Runner::new(Algorithm::Match4).workspace(&mut ws).run(&warm);
+        for algo in [Algorithm::Match1, Algorithm::Match2, Algorithm::Match4] {
+            let reused = Runner::new(algo).workspace(&mut ws).run(&list).into_matching();
+            prop_assert_eq!(reused, matched(algo, &list, CoinVariant::Msb));
+        }
     }
 
     /// Relabeling a list is permutation-equivariant in the trivial
@@ -105,8 +99,9 @@ proptest! {
     fn reproducible(n in 2usize..500, seed in any::<u64>()) {
         let a = random_list(n, seed);
         let b = random_list(n, seed);
-        prop_assert_eq!(match1(&a, CoinVariant::Msb).matching, match1(&b, CoinVariant::Msb).matching);
-        prop_assert_eq!(match4_with(&a, 2, CoinVariant::Msb).matching, match4_with(&b, 2, CoinVariant::Msb).matching);
+        for algo in [Algorithm::Match1, Algorithm::Match4] {
+            prop_assert_eq!(matched(algo, &a, CoinVariant::Msb), matched(algo, &b, CoinVariant::Msb));
+        }
     }
 }
 
@@ -122,30 +117,23 @@ proptest! {
     #[test]
     fn all_algorithms_maximal(list in list_strategy(), variant_lsb in any::<bool>()) {
         let variant = if variant_lsb { CoinVariant::Lsb } else { CoinVariant::Msb };
-        let m1 = match1(&list, variant).matching;
-        verify::assert_maximal_matching(&list, &m1);
-        let m2 = match2(&list, 2, variant).matching;
-        verify::assert_maximal_matching(&list, &m2);
-        let cfg = Match3Config { variant, ..Match3Config::default() };
-        let m3 = match3(&list, cfg).unwrap().matching;
-        verify::assert_maximal_matching(&list, &m3);
-        let m4 = match4_with(&list, 2, variant).matching;
-        verify::assert_maximal_matching(&list, &m4);
+        for algo in Algorithm::ALL {
+            verify::assert_maximal_matching(&list, &matched(algo, &list, variant));
+        }
     }
 
-    /// Workspace-backed Match3 (with its cached lookup table) equals
-    /// fresh Match3 on arbitrary lists. (Slow tier: builds the default
-    /// jump table per case on a cache miss.)
+    /// Match3 on a reused workspace (with its cached lookup table)
+    /// equals a fresh-workspace run on arbitrary lists. (Slow tier:
+    /// builds the default jump table per case on a cache miss.)
     #[test]
     fn workspace_match3_bit_identical(list in list_strategy()) {
-        let cfg = Match3Config::default();
         let mut ws = Workspace::new();
-        let fresh = match3(&list, cfg).unwrap();
-        let a = match3_in(&list, cfg, &mut ws).unwrap();
-        let b = match3_in(&list, cfg, &mut ws).unwrap(); // table-cache hit
-        prop_assert_eq!(&fresh.matching, &a.matching);
-        prop_assert_eq!(&a.matching, &b.matching);
-        prop_assert_eq!(fresh.final_bound, a.final_bound);
+        let fresh = Runner::new(Algorithm::Match3).run(&list);
+        let a = Runner::new(Algorithm::Match3).workspace(&mut ws).run(&list);
+        let b = Runner::new(Algorithm::Match3).workspace(&mut ws).run(&list); // table-cache hit
+        prop_assert_eq!(fresh.matching(), a.matching());
+        prop_assert_eq!(a.matching(), b.matching());
+        prop_assert_eq!(fresh.as_match3().unwrap().final_bound, a.as_match3().unwrap().final_bound);
     }
 
     /// PRAM Match1 equals native Match1 exactly (same algorithm, same
@@ -153,8 +141,8 @@ proptest! {
     #[test]
     fn pram_match1_equals_native(list in list_strategy(), p in 1usize..128) {
         let pram = match1_pram(&list, p, CoinVariant::Msb, ExecMode::Checked).unwrap();
-        let native = match1(&list, CoinVariant::Msb);
-        prop_assert_eq!(pram.matching, native.matching);
+        let native = matched(Algorithm::Match1, &list, CoinVariant::Msb);
+        prop_assert_eq!(pram.matching, native);
     }
 
     /// PRAM Match2 is maximal and EREW-legal for any processor count —
@@ -164,8 +152,8 @@ proptest! {
     fn pram_match2_equals_native(list in list_strategy(), p in 1usize..128) {
         let out = match2_pram(&list, p, 2, CoinVariant::Msb, ExecMode::Checked).unwrap();
         verify::assert_maximal_matching(&list, &out.matching);
-        let native = match2(&list, 2, CoinVariant::Msb);
-        prop_assert_eq!(out.matching, native.matching);
+        let native = matched(Algorithm::Match2, &list, CoinVariant::Msb);
+        prop_assert_eq!(out.matching, native);
     }
 
     /// PRAM Match4 is maximal and CREW-legal for any i and row padding —
@@ -175,8 +163,8 @@ proptest! {
     fn pram_match4_maximal(list in list_strategy(), i in 1u32..4, pad in 0usize..40) {
         let out = match4_pram(&list, i, None, CoinVariant::Msb, ExecMode::Checked).unwrap();
         verify::assert_maximal_matching(&list, &out.matching);
-        let native = parmatch_core::match4_with(&list, i, CoinVariant::Msb);
-        prop_assert_eq!(&out.matching, &native.matching);
+        let native = Runner::new(Algorithm::Match4).levels(i).run(&list);
+        prop_assert_eq!(&out.matching, native.matching());
         if pad > 0 {
             let rows = out.rows + pad;
             if rows <= list.len() {
@@ -196,9 +184,9 @@ proptest! {
     #[test]
     fn pram_match3_equals_native(list in list_strategy(), p in 1usize..32) {
         let cfg = Match3Config { jump_rounds: Some(1), ..Match3Config::default() };
-        let native = match3(&list, cfg).unwrap();
+        let native = Runner::new(Algorithm::Match3).config(cfg).run(&list);
         let pram = match3_pram(&list, p, cfg, ExecMode::Checked).unwrap();
-        prop_assert_eq!(pram.matching, native.matching);
+        prop_assert_eq!(&pram.matching, native.matching());
     }
 
     /// PRAM Wyllie matches the sequential ranks and is CREW-legal.
@@ -239,9 +227,14 @@ fn exhaustive_tiny_lists() {
         for perm in permutations(n) {
             let list = LinkedList::from_order(&perm);
             for variant in [CoinVariant::Msb, CoinVariant::Lsb] {
-                verify::assert_maximal_matching(&list, &match1(&list, variant).matching);
-                verify::assert_maximal_matching(&list, &match2(&list, 1, variant).matching);
-                verify::assert_maximal_matching(&list, &match4_with(&list, 1, variant).matching);
+                for algo in [Algorithm::Match1, Algorithm::Match2, Algorithm::Match4] {
+                    let out = Runner::new(algo)
+                        .variant(variant)
+                        .rounds(1)
+                        .levels(1)
+                        .run(&list);
+                    verify::assert_maximal_matching(&list, out.matching());
+                }
             }
             let pram = match4_pram(&list, 1, None, CoinVariant::Msb, ExecMode::Checked).unwrap();
             verify::assert_maximal_matching(&list, &pram.matching);

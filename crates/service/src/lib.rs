@@ -25,10 +25,11 @@
 //!   worker, the arena pool, and every other job keep going.
 //!
 //! Cancellation ([`MatchService::cancel`]) and deadlines are honored at
-//! *phase boundaries*: an enabled probe observer checks the job's flag
-//! each time the matcher opens a span and unwinds with a typed token,
-//! classified back into [`JobError::Cancelled`] /
-//! [`JobError::DeadlineExceeded`].
+//! *phase boundaries*: a probe observer checks the job's flag each time
+//! the matcher opens a span and unwinds with a typed token, classified
+//! back into [`JobError::Cancelled`] / [`JobError::DeadlineExceeded`].
+//! The probe takes audits only when the job is observed, so an
+//! unobserved job runs exactly the pipeline a plain [`Runner`] runs.
 //!
 //! Jobs carrying a [`FaultPlan`] run through
 //! [`parmatch_testkit::run_verified`] instead — the self-checking
@@ -347,10 +348,11 @@ enum CancelToken {
     Deadline,
 }
 
-/// An enabled observer that checks the job's cancel flag and deadline
-/// every time the matcher opens a span — phase-boundary cancellation —
-/// then forwards to the inner observer (a [`Recorder`] for observed
-/// jobs, [`NoopObserver`] otherwise).
+/// An observer that checks the job's cancel flag and deadline every
+/// time the matcher opens a span — phase-boundary cancellation — then
+/// forwards to the inner observer (a [`Recorder`] for observed jobs,
+/// [`NoopObserver`] otherwise). It takes audits exactly when the inner
+/// observer does.
 struct CancelProbe<'a, O: Observer> {
     inner: &'a mut O,
     cancel: &'a AtomicBool,
@@ -358,7 +360,7 @@ struct CancelProbe<'a, O: Observer> {
 }
 
 impl<O: Observer> Observer for CancelProbe<'_, O> {
-    const ENABLED: bool = true;
+    const ENABLED: bool = O::ENABLED;
 
     fn enter(&mut self, label: &str) {
         if self.cancel.load(Ordering::Relaxed) {
@@ -662,7 +664,7 @@ fn worker_loop(
             }
         }
         for batch in batches {
-            run_batch(shared, done, batch);
+            run_batch(shared, done, pool, batch);
         }
         solo.sort_by_key(|env| env.id);
         for env in solo {
@@ -684,7 +686,12 @@ fn complete(shared: &Shared, done: &Sender<JobResult>, result: JobResult) {
 /// solo runs if the fused sweep itself panics (it should not — batch
 /// jobs carry no probes or faults — but isolation must not depend on
 /// that).
-fn run_batch(shared: &Shared, done: &Sender<JobResult>, batch: Vec<Envelope>) {
+fn run_batch(
+    shared: &Shared,
+    done: &Sender<JobResult>,
+    pool: &rayon::ThreadPool,
+    batch: Vec<Envelope>,
+) {
     let mut live = Vec::new();
     for env in batch {
         if env.cancel.load(Ordering::Relaxed) {
@@ -707,7 +714,7 @@ fn run_batch(shared: &Shared, done: &Sender<JobResult>, batch: Vec<Envelope>) {
         1 => {
             // a lone survivor gains nothing from the batch path
             let env = live.pop().expect("len checked");
-            return run_solo_unpooled(shared, done, env);
+            return run_solo(shared, done, pool, env);
         }
         _ => {}
     }
@@ -738,18 +745,10 @@ fn run_batch(shared: &Shared, done: &Sender<JobResult>, batch: Vec<Envelope>) {
         }
         Err(_) => {
             for env in live {
-                run_solo_unpooled(shared, done, env);
+                run_solo(shared, done, pool, env);
             }
         }
     }
-}
-
-fn run_solo_unpooled(shared: &Shared, done: &Sender<JobResult>, env: Envelope) {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(0)
-        .build()
-        .expect("thread pool construction cannot fail");
-    run_solo(shared, done, &pool, env);
 }
 
 fn run_solo(shared: &Shared, done: &Sender<JobResult>, pool: &rayon::ThreadPool, env: Envelope) {
@@ -1015,6 +1014,32 @@ mod tests {
         let result = svc.recv().unwrap();
         assert_eq!(result.id, id);
         assert!(matches!(result.output, Err(JobError::DeadlineExceeded)));
+        svc.shutdown();
+    }
+
+    #[test]
+    fn unobserved_probe_takes_no_audits() {
+        const { assert!(!<CancelProbe<'static, NoopObserver> as Observer>::ENABLED) };
+        const { assert!(<CancelProbe<'static, Recorder> as Observer>::ENABLED) };
+    }
+
+    #[test]
+    fn unobserved_job_misses_deadline_and_arena_stays_exact() {
+        // An unobserved job runs the production pipeline, yet its probe
+        // still trips the deadline at a phase boundary; the same (single)
+        // arena then serves an exact run.
+        let svc = small_service();
+        let list = random_list(1 << 20, 12);
+        let late = JobSpec::new(Algorithm::Match4, list.clone()).deadline(Duration::from_millis(1));
+        let id = svc.submit(late).unwrap();
+        let result = svc.recv().unwrap();
+        assert_eq!(result.id, id);
+        assert!(matches!(result.output, Err(JobError::DeadlineExceeded)));
+        svc.submit(JobSpec::new(Algorithm::Match4, list.clone()))
+            .unwrap();
+        let out = svc.recv().unwrap().output.expect("arena survives the trip");
+        let solo = Runner::new(Algorithm::Match4).run(&list);
+        assert_eq!(out.matching().unwrap(), solo.matching());
         svc.shutdown();
     }
 

@@ -10,12 +10,12 @@
 //! the whole concatenation. The finisher then runs per job on its label
 //! slice.
 //!
-//! **Bit identity.** A job's labels start as its *local* addresses
-//! (`labels[off + v] = v`), its successors never leave `[off, off+n)`,
-//! and the coin-tossing widths depend only on the bound cascade — so a
-//! fused job's labels evolve exactly as they would solo, provided every
-//! job in the batch shares the cascade parameters. That is the
-//! [`BatchKey`]: initial width class `⌈log₂ n⌉`, convergence round
+//! **Bit identity.** A job's first round reads its *local* addresses
+//! (`v − off` for node `v` at offset `off`), its successors never leave
+//! `[off, off+n)`, and the coin-tossing widths depend only on the bound
+//! cascade — so a fused job's labels evolve exactly as they would solo,
+//! provided every job in the batch shares the cascade parameters. That
+//! is the [`BatchKey`]: initial width class `⌈log₂ n⌉`, convergence round
 //! count, and coin variant. (Width class alone is not enough: `n = 9`
 //! converges in 0 rounds while `n = 16` needs 1, though both have width
 //! 4.) The `fused_batch_matches_solo_runs` test pins the identity
@@ -128,11 +128,11 @@ pub fn match1_batch_in(
 ) -> Vec<Match1Output> {
     assert_eq!(lists.len(), plan.jobs(), "plan/job count mismatch");
     ws.prepare_batch_next_cyc(lists, plan.offsets());
-    ws.prepare_batch_local_labels(plan.offsets());
 
-    // One fused sweep over the concatenation. Any representative of the
-    // width class yields the same per-round widths; use the first job's
-    // size, exactly what its solo run would start from.
+    // One fused sweep over the concatenation, round 1 from each job's
+    // local addresses. Any representative of the width class yields the
+    // same per-round widths; the kernel takes the first job's size,
+    // exactly what its solo run would start from.
     {
         let Workspace {
             next_cyc,
@@ -143,9 +143,9 @@ pub fn match1_batch_in(
         let next_cyc: &[NodeId] = next_cyc;
         relabel_rounds(
             &|u: NodeId| next_cyc[u as usize],
+            plan.offsets(),
             labels_a,
             labels_b,
-            lists[0].len() as Word,
             plan.key.rounds,
             plan.key.variant,
             &mut NoopObserver,
@@ -175,11 +175,11 @@ pub fn match1_batch_in(
     } = &mut *ws;
     cut.resize(total, false);
     matched.resize_with(total, || std::sync::atomic::AtomicBool::new(false));
-    let labels: &[Word] = labels_a;
+    let labels: &[u8] = labels_a;
 
     struct JobWindow<'a> {
         list: &'a LinkedList,
-        labels: &'a [Word],
+        labels: &'a [u8],
         cut: &'a mut [bool],
         matched: &'a mut [std::sync::atomic::AtomicBool],
     }
@@ -220,7 +220,7 @@ pub fn match1_batch_in(
             // The fused cut + walk traversal. `offset` is the position
             // within the current sublist; a cut node ends its sublist
             // unmarked and the next node starts a fresh one.
-            let mut prev_label: Option<Word> = None;
+            let mut prev_label: Option<u8> = None;
             let mut offset = 0usize;
             let mut v = list.head() as usize;
             loop {
@@ -335,6 +335,28 @@ mod tests {
                 assert_eq!(out.rounds, solo.rounds);
                 assert_eq!(out.final_bound, solo.final_bound);
                 verify::assert_maximal_matching(list, &out.matching);
+            }
+        }
+    }
+
+    #[test]
+    fn jobs_past_offset_256_match_solo_runs() {
+        // Round 1 reads each job's local addresses: a job at offset ≥ 256
+        // relabels exactly as its solo run, in the zero-round class, a
+        // small class and one whose own addresses exceed a byte.
+        for (n, jobs) in [(9usize, 40usize), (48, 12), (300, 4)] {
+            for variant in [CoinVariant::Msb, CoinVariant::Lsb] {
+                let lists: Vec<_> = (0..jobs as u64).map(|s| random_list(n, s)).collect();
+                let refs: Vec<&LinkedList> = lists.iter().collect();
+                let plan = BatchPlan::new(&refs, variant).expect("same size, same key");
+                assert!(plan.offsets()[jobs - 1] >= 256, "n = {n}");
+                let outs = match1_batch_in(&refs, &plan, &mut Workspace::new());
+                for (j, (list, out)) in lists.iter().zip(&outs).enumerate() {
+                    let solo = solo(list, variant);
+                    assert_eq!(out.matching, solo.matching, "n = {n} job {j} {variant:?}");
+                    assert_eq!(out.rounds, solo.rounds);
+                    assert_eq!(out.final_bound, solo.final_bound);
+                }
             }
         }
     }

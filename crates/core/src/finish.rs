@@ -101,12 +101,15 @@ pub fn from_labels(list: &LinkedList, labels: &[Word]) -> Matching {
     Matching::from_mask(list, mask)
 }
 
-/// Match1 steps 3–4 as the production pipeline runs them: all per-node
-/// state lives in caller-provided (workspace) buffers, the predecessor
-/// array is taken precomputed, and sublists are walked directly from
-/// their locally detectable heads (`h` starts a sublist iff `pred[h]` is
-/// [`NIL`] or cut) instead of materializing a sorted head list. Marks —
-/// and therefore the matching — are bit-identical to [`from_labels`].
+/// Match1 steps 3–4 as the production pipeline runs them: the labels
+/// are the relabel kernel's bytes, all per-node state lives in
+/// caller-provided (workspace) buffers, the predecessor array is taken
+/// precomputed, and sublists are walked directly from their locally
+/// detectable heads (`h` starts a sublist iff `pred[h]` is [`NIL`] or
+/// cut) instead of materializing a sorted head list. Every mark sits on
+/// a real pointer by construction, so the matching is built without a
+/// second validation pass. Marks — and therefore the matching — are
+/// bit-identical to [`from_labels`].
 ///
 /// Once the matching is built, the `finish` span is opened and closed
 /// for every observer. An auditing observer (`O::ENABLED`) also gets a
@@ -120,7 +123,7 @@ pub fn from_labels(list: &LinkedList, labels: &[Word]) -> Matching {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn from_labels_core<O: Observer>(
     list: &LinkedList,
-    labels: &[Word],
+    labels: &[u8],
     pred: &[NodeId],
     cut: &mut Vec<bool>,
     mask: &mut Vec<AtomicBool>,
@@ -217,7 +220,7 @@ pub(crate) fn from_labels_core<O: Observer>(
                     && !matched_ref[list.next_raw(v as NodeId) as usize].load(Ordering::Relaxed))
         })
         .collect();
-    let m = Matching::from_mask(list, final_mask);
+    let m = Matching::from_mask_unchecked(list, final_mask);
     obs.enter("finish");
     if O::ENABLED {
         audit_sublists(list, pred, cut, mask, &m, bound, obs);
@@ -278,7 +281,9 @@ fn audit_sublists<O: Observer>(
 }
 
 /// Zero-allocation, parallel variant of [`greedy_by_sets`] (ascending
-/// set order only) that the production pipelines run.
+/// set order only) that the production pipelines run. Marks only ever
+/// land on bucketed pointer tails, so the matching is built without a
+/// second validation pass.
 ///
 /// Bucketing is a chunked counting sort: a per-chunk × per-set histogram,
 /// a (tiny, `chunks × bound`) sequential prefix pass turning counts into
@@ -378,7 +383,7 @@ pub(crate) fn greedy_core<O: Observer>(
         .with_min_len(CHUNK)
         .map(|v| mask_ref[v].load(Ordering::Relaxed))
         .collect();
-    let m = Matching::from_mask(list, final_mask);
+    let m = Matching::from_mask_unchecked(list, final_mask);
     obs.enter("sweep");
     if O::ENABLED {
         let bucketed = set_starts[b] as u64;

@@ -27,18 +27,26 @@
 //!   becomes `2w + 2` (values `2k + bit < 2w`, sentinel `2w`, so bound
 //!   `2w + 1`); the bound sequence is exactly the `2·log^(k) n (1+o(1))`
 //!   cascade of Lemma 2.
+//!
+//! The native pipelines run the rounds through one production kernel,
+//! `relabel_rounds`. Round 1 reads only the successor array and computes
+//! `f_ext(v, suc(v))` straight from the addresses. Every label after it
+//! is below `2⌈log₂ n⌉ + 1 ≤ 65`, so the kernel stores labels as bytes
+//! from then on, and each later round gathers from an `n`-byte array —
+//! the paper's appendix likewise works on `O(log log n)`-bit labels.
+//! [`LabelSeq`] stays on `Word` labels as the independent reference
+//! oracle the kernel is tested against.
 
 use crate::obs::Observer;
+use crate::workspace::CHUNK;
 use parmatch_bits::coin::CoinVariant;
 use parmatch_bits::{ilog2_ceil, Word};
 use parmatch_list::{LinkedList, NodeId};
 use rayon::prelude::*;
 
-/// Maximum coin-tossing rounds fused into one blocked memory pass.
-pub(crate) const FUSE: usize = 4;
-
-/// Nodes per parallel chunk of a fused pass.
-const FUSE_CHUNK: usize = 4096;
+// After one round every label is below `2⌈log₂ n⌉ + 1 ≤ 2·NodeId::BITS + 1`,
+// so the production kernel stores labels as bytes from round 1 on.
+const _: () = assert!(2 * NodeId::BITS + 1 < 256);
 
 /// Bit width used by a relabel round starting from `bound`.
 #[inline]
@@ -55,58 +63,63 @@ pub(crate) fn convergence_rounds(bound: Word) -> u32 {
     parmatch_bits::cascade_rounds(bound)
 }
 
-/// One blocked pass applying `widths.len() ≤ FUSE` consecutive rounds of
-/// `label[v] := f_ext(label[v], label[suc(v)])`.
-///
-/// For `g` fused rounds each node gathers the labels of `suc^0(v)` …
-/// `suc^g(v)` once and folds the triangle locally — round `t` of the
-/// fold uses `widths[t]`, exactly the width round `t` would use in the
-/// unfused cascade, so the result is bit-identical to `g` separate
-/// [`LabelSeq::relabel`] calls while touching memory once instead of
-/// `g` times.
-fn fused_pass<S>(suc: &S, input: &[Word], out: &mut [Word], widths: &[u32], variant: CoinVariant)
+/// [`f_ext`] narrowed to a byte: its value is below `2w + 1`, and `w`
+/// never exceeds `NodeId::BITS`.
+#[inline]
+fn f_byte(a: Word, b: Word, w: u32, variant: CoinVariant) -> u8 {
+    let l = f_ext(a, b, w, variant);
+    debug_assert!(l < 256, "label {l} does not fit a byte");
+    l as u8
+}
+
+/// One label pass: `out[v] = label(v, origin)`, where `origin` starts
+/// the job holding `v` (a job's nodes never leave its window).
+fn label_pass<L>(origins: &[usize], out: &mut [u8], label: L)
 where
-    S: Fn(NodeId) -> NodeId + Sync,
+    L: Fn(usize, usize) -> u8 + Sync,
 {
-    let g = widths.len();
-    debug_assert!((1..=FUSE).contains(&g));
-    out.par_chunks_mut(FUSE_CHUNK)
+    out.par_chunks_mut(CHUNK)
         .enumerate()
         .for_each(|(ci, chunk)| {
-            let base = ci * FUSE_CHUNK;
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                let mut lab = [0 as Word; FUSE + 1];
-                let mut u = (base + i) as NodeId;
-                for l in lab.iter_mut().take(g + 1) {
-                    *l = input[u as usize];
-                    u = suc(u);
+            let base = ci * CHUNK;
+            let end = base + chunk.len();
+            // The job holding `base`, then every job window the chunk overlaps.
+            let mut j = origins.partition_point(|&o| o <= base) - 1;
+            let mut v = base;
+            while v < end {
+                let (origin, stop) = (origins[j], origins[j + 1].min(end));
+                for (u, slot) in (v..stop).zip(&mut chunk[v - base..stop - base]) {
+                    *slot = label(u, origin);
                 }
-                for (t, &w) in widths.iter().enumerate() {
-                    for j in 0..(g - t) {
-                        lab[j] = f_ext(lab[j], lab[j + 1], w, variant);
-                    }
-                }
-                *slot = lab[0];
+                v = stop;
+                j += 1;
             }
         });
 }
 
-/// Apply `rounds` relabel rounds to `cur` in place (using `alt` as the
-/// double buffer) and return the final bound. Labels are bit-identical
-/// to `rounds` chained [`LabelSeq::relabel`] calls.
+/// Run `rounds` relabel rounds from address labels, leave the labels in
+/// `labels` (one byte each, `alt` is the double buffer) and return the
+/// final bound. Labels are bit-identical to `rounds` chained
+/// [`LabelSeq::relabel`] calls from [`LabelSeq::initial`].
 ///
-/// The `relabel` span is opened and closed for every observer. Without
-/// audits, up to [`FUSE`] rounds share one memory pass. An auditing
-/// observer (`O::ENABLED`) gets one round per pass through the same
-/// [`fused_pass`] kernel, so it can record a `round` child per round:
-/// the round's width, new bound and a [`census256`] of distinct labels
-/// audited against Lemma 1's `2w`, plus the totals (`final_bound`,
-/// `bytes_touched`).
+/// `origins` holds the job boundaries of the node array: `[0, n]` for
+/// one list, a fused batch's offsets otherwise. Node `v` of job `j`
+/// starts from its local address `v − origins[j]`, and the first job's
+/// size is the initial bound, which every job shares (the batch key).
+/// Round 1 reads only the successor array; each later round is one pass
+/// whose random gather hits an `n`-byte array. With `rounds == 0` the
+/// labels are the local addresses themselves, which must fit a byte.
+///
+/// The `relabel` span is opened and closed for every observer. An
+/// auditing observer (`O::ENABLED`) runs the same passes and also gets a
+/// `round` child per round: the round's width, new bound and a
+/// [`census256`] of distinct labels audited against Lemma 1's `2w`, plus
+/// the totals (`final_bound`, `bytes_touched`).
 pub(crate) fn relabel_rounds<S, O: Observer>(
     suc: &S,
-    cur: &mut Vec<Word>,
-    alt: &mut Vec<Word>,
-    mut bound: Word,
+    origins: &[usize],
+    labels: &mut Vec<u8>,
+    alt: &mut Vec<u8>,
     rounds: u32,
     variant: CoinVariant,
     obs: &mut O,
@@ -114,57 +127,64 @@ pub(crate) fn relabel_rounds<S, O: Observer>(
 where
     S: Fn(NodeId) -> NodeId + Sync,
 {
+    let n = *origins.last().expect("origins never empty");
+    let mut bound = (origins[1] - origins[0]) as Word;
     obs.enter("relabel");
     if O::ENABLED {
         obs.counter("rounds", u64::from(rounds));
         obs.counter("initial_bound", bound);
     }
-    let per_pass = if O::ENABLED { 1 } else { FUSE };
-    alt.resize(cur.len(), 0);
-    let mut done = 0;
-    while done < rounds {
-        let g = ((rounds - done) as usize).min(per_pass);
-        let mut widths = [0u32; FUSE];
-        for slot in widths.iter_mut().take(g) {
-            let w = width_of(bound);
-            *slot = w;
-            bound = 2 * Word::from(w) + 1;
+    labels.resize(n, 0);
+    if rounds == 0 {
+        label_pass(origins, labels, |u, o| {
+            u8::try_from(u - o).expect("zero-round address labels fit a byte")
+        });
+    }
+    for k in 1..=rounds {
+        let w = width_of(bound);
+        if k == 1 {
+            // Straight from local addresses; no label is gathered.
+            label_pass(origins, labels, |u, o| {
+                let s = suc(u as NodeId) as usize;
+                f_byte((u - o) as Word, (s - o) as Word, w, variant)
+            });
+        } else {
+            alt.resize(n, 0);
+            let input: &[u8] = labels;
+            label_pass(origins, alt, |u, _| {
+                let s = suc(u as NodeId) as usize;
+                f_byte(Word::from(input[u]), Word::from(input[s]), w, variant)
+            });
+            std::mem::swap(labels, alt);
         }
-        fused_pass(suc, cur, alt, &widths[..g], variant);
-        std::mem::swap(cur, alt);
-        done += g as u32;
+        bound = 2 * Word::from(w) + 1;
         if O::ENABLED {
             obs.enter("round");
-            obs.counter("k", u64::from(done));
-            obs.counter("width_bits", u64::from(widths[0]));
+            obs.counter("k", u64::from(k));
+            obs.counter("width_bits", u64::from(w));
             obs.counter("bound", bound);
-            obs.bounded("distinct_labels", census256(cur), 2 * u64::from(widths[0]));
+            obs.bounded("distinct_labels", census256(labels), 2 * u64::from(w));
             obs.exit();
         }
     }
     if O::ENABLED {
         obs.counter("final_bound", bound);
-        obs.counter(
-            "bytes_touched",
-            crate::obs::relabel_bytes(cur.len(), rounds),
-        );
+        obs.counter("bytes_touched", crate::obs::relabel_bytes(n, rounds));
     }
     obs.exit();
     bound
 }
 
-/// Count distinct label values in an array whose values are all `< 256`
-/// — true for any post-round label array, whose bound is at most
-/// `2·64 + 1 = 129`. Parallel per-chunk bitmask census, OR-reduced.
-pub(crate) fn census256(labels: &[Word]) -> u64 {
-    let nchunks = labels.len().div_ceil(FUSE_CHUNK);
+/// Count distinct values in a byte label array. Parallel per-chunk
+/// bitmask census, OR-reduced.
+pub(crate) fn census256(labels: &[u8]) -> u64 {
+    let nchunks = labels.len().div_ceil(CHUNK);
     let partial: Vec<[u64; 4]> = (0..nchunks)
         .into_par_iter()
         .map(|ci| {
             let mut m = [0u64; 4];
-            for &l in &labels[ci * FUSE_CHUNK..((ci + 1) * FUSE_CHUNK).min(labels.len())] {
-                debug_assert!(l < 256, "census256 on labels above 255");
-                m[(l >> 6) as usize] |= 1 << (l & 63);
+            for &l in &labels[ci * CHUNK..((ci + 1) * CHUNK).min(labels.len())] {
+                m[usize::from(l >> 6)] |= 1 << (l & 63);
             }
             m
         })
@@ -356,7 +376,7 @@ impl LabelSeq {
 
     /// Apply `k` rounds of [`relabel`](Self::relabel), one freshly
     /// allocated label array per round. This chain is the reference
-    /// oracle the fused production kernel is tested against.
+    /// oracle the byte-label production kernel is tested against.
     pub fn relabel_k(&self, list: &LinkedList, k: u32) -> Self {
         assert_eq!(list.len(), self.labels.len(), "label/list size mismatch");
         (0..k).fold(self.clone(), |l, _| l.relabel(list))
@@ -536,28 +556,57 @@ mod tests {
         }
     }
 
+    /// Run the production kernel on one list from its address labels.
+    fn narrow(
+        list: &LinkedList,
+        rounds: u32,
+        variant: CoinVariant,
+        obs: &mut impl Observer,
+    ) -> (Vec<u8>, Word) {
+        let (mut labels, mut alt) = (Vec::new(), Vec::new());
+        let bound = relabel_rounds(
+            &|u| list.next_cyclic(u),
+            &[0, list.len()],
+            &mut labels,
+            &mut alt,
+            rounds,
+            variant,
+            obs,
+        );
+        (labels, bound)
+    }
+
     #[test]
-    fn fused_rounds_match_unfused_exactly() {
-        // The production kernel must agree with the chained reference
-        // rounds for every k across the FUSE boundary, bit for bit.
-        let list = random_list(3000, 17);
-        let n = list.len();
-        for variant in [CoinVariant::Msb, CoinVariant::Lsb] {
-            let mut chained = LabelSeq::initial(&list, variant);
-            for k in 1..=(2 * FUSE as u32 + 1) {
-                chained = chained.relabel(&list);
-                let mut cur: Vec<Word> = (0..n as Word).collect();
-                let bound = relabel_rounds(
-                    &|u| list.next_cyclic(u),
-                    &mut cur,
-                    &mut Vec::new(),
-                    n as Word,
-                    k,
-                    variant,
-                    &mut crate::obs::NoopObserver,
-                );
-                assert_eq!(cur, chained.labels(), "k = {k} {variant:?}");
-                assert_eq!(bound, chained.bound(), "k = {k} {variant:?}");
+    fn narrow_rounds_match_chained_relabel() {
+        // The byte-label kernel must agree with the chained reference
+        // rounds bit for bit, across the byte boundary of n and every
+        // layout. k = 0 keeps address labels, so it needs n ≤ 256
+        // (Match1 runs zero rounds only for n ≤ 9).
+        use parmatch_list::{blocked_list, reversed_list};
+        for n in [2usize, 3, 9, 10, 255, 256, 257, 3000] {
+            let layouts = [
+                sequential_list(n),
+                reversed_list(n),
+                blocked_list(n, 16, n as u64),
+                random_list(n, 17 + n as u64),
+            ];
+            for list in &layouts {
+                for variant in [CoinVariant::Msb, CoinVariant::Lsb] {
+                    let mut chained = LabelSeq::initial(list, variant);
+                    for k in 0..=6u32 {
+                        if k > 0 {
+                            chained = chained.relabel(list);
+                        }
+                        if k == 0 && n > 256 {
+                            continue;
+                        }
+                        let (labels, bound) =
+                            narrow(list, k, variant, &mut crate::obs::NoopObserver);
+                        let wide: Vec<Word> = labels.iter().map(|&l| Word::from(l)).collect();
+                        assert_eq!(wide, chained.labels(), "n = {n} k = {k} {variant:?}");
+                        assert_eq!(bound, chained.bound(), "n = {n} k = {k} {variant:?}");
+                    }
+                }
             }
         }
     }
@@ -567,7 +616,7 @@ mod tests {
         assert_eq!(census256(&[]), 0);
         assert_eq!(census256(&[0, 0, 0]), 1);
         assert_eq!(census256(&[3, 7, 3, 255, 0, 7]), 4);
-        let many: Vec<Word> = (0..10_000).map(|i| i % 129).collect();
+        let many: Vec<u8> = (0..10_000).map(|i| (i % 129) as u8).collect();
         assert_eq!(census256(&many), 129);
     }
 
@@ -576,40 +625,17 @@ mod tests {
         let list = random_list(2000, 21);
         let n = list.len();
         for variant in [CoinVariant::Msb, CoinVariant::Lsb] {
-            for rounds in [0u32, 1, 3, 7] {
-                let suc = |u: NodeId| list.next_cyclic(u);
-                let mut plain: Vec<Word> = (0..n as Word).collect();
-                let mut obs_run = plain.clone();
-                let (mut alt_a, mut alt_b) = (Vec::new(), Vec::new());
-                let b1 = relabel_rounds(
-                    &suc,
-                    &mut plain,
-                    &mut alt_a,
-                    n as Word,
-                    rounds,
-                    variant,
-                    &mut crate::obs::NoopObserver,
-                );
+            for rounds in [1u32, 3, 7] {
+                let plain = narrow(&list, rounds, variant, &mut crate::obs::NoopObserver);
                 let mut rec = crate::obs::Recorder::new();
-                let b2 = relabel_rounds(
-                    &suc,
-                    &mut obs_run,
-                    &mut alt_b,
-                    n as Word,
-                    rounds,
-                    variant,
-                    &mut rec,
-                );
-                assert_eq!(plain, obs_run, "rounds={rounds} {variant:?}");
-                assert_eq!(b1, b2);
+                let observed = narrow(&list, rounds, variant, &mut rec);
+                assert_eq!(plain, observed, "rounds={rounds} {variant:?}");
                 let rec = rec.finish();
                 assert!(rec.all_bounds_hold(), "{}", rec.render());
                 assert_eq!(rec.find("rounds"), Some(u64::from(rounds)));
-                if rounds > 0 {
-                    // Lemma 1: first-round census audited against 2⌈log₂ n⌉.
-                    let a = &rec.audits()[0];
-                    assert_eq!(a.bound, 2 * u64::from(ilog2_ceil(n as Word)));
-                }
+                // Lemma 1: first-round census audited against 2⌈log₂ n⌉.
+                let a = &rec.audits()[0];
+                assert_eq!(a.bound, 2 * u64::from(ilog2_ceil(n as Word)));
             }
         }
     }

@@ -55,7 +55,6 @@ pub(crate) fn run<O: Observer>(
     }
     ws.prepare_next_cyc(list);
     ws.prepare_pred(list);
-    ws.prepare_address_labels(n);
     let Workspace {
         next_cyc,
         pred,
@@ -75,9 +74,9 @@ pub(crate) fn run<O: Observer>(
     }
     let bound = relabel_rounds(
         &|u: NodeId| next_cyc[u as usize],
+        &[0, n],
         labels_a,
         labels_b,
-        n as Word,
         rounds,
         variant,
         obs,
@@ -185,7 +184,7 @@ mod tests {
 
     #[test]
     fn agrees_with_reference_composition() {
-        // match1 == LabelSeq-to-convergence + from_labels (the unfused,
+        // match1 == LabelSeq-to-convergence + from_labels (the
         // allocation-per-round reference path), bit for bit.
         use crate::finish::from_labels;
         use crate::labels::LabelSeq;

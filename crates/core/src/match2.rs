@@ -35,8 +35,8 @@ pub struct Match2Output {
 }
 
 /// Match2 with `rounds` applications of `f` for step 1 (the paper's
-/// `log^(2) n`-set partition corresponds to `rounds = 2`): fused relabel
-/// rounds, chunked counting-sort bucketing and a per-set parallel
+/// `log^(2) n`-set partition corresponds to `rounds = 2`): byte-label
+/// relabel rounds, chunked counting-sort bucketing and a per-set parallel
 /// sweep, all in the buffers of `ws` (the returned partition is the only
 /// steady-state allocation).
 ///
@@ -67,7 +67,6 @@ pub(crate) fn run<O: Observer>(
         };
     }
     ws.prepare_next_cyc(list);
-    ws.prepare_address_labels(n);
     let Workspace {
         next_cyc,
         labels_a,
@@ -86,14 +85,14 @@ pub(crate) fn run<O: Observer>(
     }
     let bound = relabel_rounds(
         &|u: NodeId| next_cyc[u as usize],
+        &[0, n],
         labels_a,
         labels_b,
-        n as Word,
         rounds,
         variant,
         obs,
     );
-    let labels: &[Word] = labels_a;
+    let labels: &[u8] = labels_a;
     let set: Vec<Word> = (0..n)
         .into_par_iter()
         .with_min_len(CHUNK)
@@ -101,7 +100,7 @@ pub(crate) fn run<O: Observer>(
             if list.next_raw(v as NodeId) == NIL {
                 NO_POINTER
             } else {
-                labels[v]
+                Word::from(labels[v])
             }
         })
         .collect();

@@ -98,9 +98,10 @@ pub struct Match3Output {
     pub final_bound: Word,
 }
 
-/// Match3 in the buffers of `ws`: fused crunch rounds, double-buffered
-/// pointer jumping, and a **cached lookup table** — a steady-state rerun
-/// with the same configuration skips the table enumeration entirely.
+/// Match3 in the buffers of `ws`: byte-label crunch rounds,
+/// double-buffered pointer jumping over `Word` label windows, and a
+/// **cached lookup table** — a steady-state rerun with the same
+/// configuration skips the table enumeration entirely.
 ///
 /// `obs` sees a `match3` span around the crunch `relabel`, `jump`,
 /// `probe` and `finish` phases. An auditing observer also gets the jump
@@ -130,9 +131,8 @@ pub(crate) fn run<O: Observer>(
 
     ws.prepare_next_cyc(list);
     ws.prepare_pred(list);
-    ws.prepare_address_labels(n);
 
-    // Step 2: crunch (fused rounds).
+    // Step 2: crunch, into byte labels.
     obs.enter("match3");
     if O::ENABLED {
         obs.counter("n", n as u64);
@@ -147,9 +147,9 @@ pub(crate) fn run<O: Observer>(
         let next_cyc: &[NodeId] = next_cyc;
         relabel_rounds(
             &|u: NodeId| next_cyc[u as usize],
+            &[0, n],
             labels_a,
             labels_b,
-            n as Word,
             config.crunch_rounds,
             config.variant,
             obs,
@@ -169,14 +169,17 @@ pub(crate) fn run<O: Observer>(
             j
         }
     };
-    let m = 1u32 << j; // window length
+    // Window length; a table needs at least two arguments, so from here
+    // on j ≥ 1.
+    let m = 1u32 << j;
     ws.table_ensure(w, m, config.variant, config.max_table_bits)?;
 
     let Workspace {
         next_cyc,
         pred,
         labels_a,
-        labels_b,
+        win_a,
+        win_b,
         nxt_a,
         nxt_b,
         cut,
@@ -189,38 +192,40 @@ pub(crate) fn run<O: Observer>(
 
     // Step 3: pointer-jumping concatenation along the *cyclic* order (so
     // windows near the tail wrap to the head, keeping the label sequence
-    // adjacent-distinct — see crate::table).
-    nxt_a.clone_from(next_cyc);
+    // adjacent-distinct — see crate::table). The first round widens the
+    // byte labels into `Word` windows and jumps from `next_cyc` itself.
+    win_a.resize(n, 0);
+    win_b.resize(n, 0);
+    nxt_a.resize(n, 0);
     nxt_b.resize(n, 0);
     let mut width = w;
-    for _ in 0..j {
-        {
-            let la: &[Word] = labels_a;
-            let nx: &[NodeId] = nxt_a;
-            labels_b
-                .par_chunks_mut(CHUNK)
-                .enumerate()
-                .for_each(|(ci, chunk)| {
-                    let base = ci * CHUNK;
-                    for (i, slot) in chunk.iter_mut().enumerate() {
-                        let v = base + i;
-                        *slot = (la[v] << width) | la[nx[v] as usize];
-                    }
-                });
-        }
-        {
-            let nx: &[NodeId] = nxt_a;
-            nxt_b
-                .par_chunks_mut(CHUNK)
-                .enumerate()
-                .for_each(|(ci, chunk)| {
-                    let base = ci * CHUNK;
-                    for (i, slot) in chunk.iter_mut().enumerate() {
-                        *slot = nx[nx[base + i] as usize];
-                    }
-                });
-        }
-        std::mem::swap(labels_a, labels_b);
+    for t in 0..j {
+        let nx: &[NodeId] = if t == 0 { &next_cyc[..] } else { &nxt_a[..] };
+        let (la, wa): (&[u8], &[Word]) = (labels_a, win_a);
+        win_b
+            .par_chunks_mut(CHUNK)
+            .enumerate()
+            .for_each(|(ci, chunk)| {
+                let base = ci * CHUNK;
+                for (v, slot) in (base..).zip(chunk.iter_mut()) {
+                    let s = nx[v] as usize;
+                    *slot = if t == 0 {
+                        (Word::from(la[v]) << width) | Word::from(la[s])
+                    } else {
+                        (wa[v] << width) | wa[s]
+                    };
+                }
+            });
+        nxt_b
+            .par_chunks_mut(CHUNK)
+            .enumerate()
+            .for_each(|(ci, chunk)| {
+                let base = ci * CHUNK;
+                for (i, slot) in chunk.iter_mut().enumerate() {
+                    *slot = nx[nx[base + i] as usize];
+                }
+            });
+        std::mem::swap(win_a, win_b);
         std::mem::swap(nxt_a, nxt_b);
         width *= 2;
     }
@@ -232,20 +237,21 @@ pub(crate) fn run<O: Observer>(
     }
     obs.exit();
 
-    // Step 4: one probe each.
+    // Step 4: one probe each, back into byte labels (table values stay
+    // below `2·entry_bits + 1 ≤ 31`).
+    debug_assert!(table.value_bound() <= 256);
     {
-        let la: &[Word] = labels_a;
-        labels_b
+        let wa: &[Word] = win_a;
+        labels_a
             .par_chunks_mut(CHUNK)
             .enumerate()
             .for_each(|(ci, chunk)| {
                 let base = ci * CHUNK;
                 for (i, slot) in chunk.iter_mut().enumerate() {
-                    *slot = table.probe(la[base + i]);
+                    *slot = table.probe(wa[base + i]) as u8;
                 }
             });
     }
-    std::mem::swap(labels_a, labels_b);
     obs.enter("probe");
     if O::ENABLED {
         obs.counter("probes", n as u64);

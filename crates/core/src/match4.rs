@@ -50,8 +50,8 @@ pub struct Match4Output {
 }
 
 /// Match4 with `i` applications of `f` for the step-1 partition, in the
-/// buffers of `ws`: fused step-1 rounds, the grid built into loaned flat
-/// storage, walkdown colors and the greedy sweep in preallocated
+/// buffers of `ws`: byte-label step-1 rounds, the grid built into loaned
+/// flat storage, walkdown colors and the greedy sweep in preallocated
 /// buffers.
 ///
 /// `obs` sees a `match4` span around the `relabel`, `partition`,
@@ -85,7 +85,6 @@ pub(crate) fn run<O: Observer>(
     }
     ws.prepare_next_cyc(list);
     ws.prepare_pred(list);
-    ws.prepare_address_labels(n);
     ws.reset_colors(n);
     let Workspace {
         next_cyc,
@@ -114,16 +113,16 @@ pub(crate) fn run<O: Observer>(
     }
     let bound = relabel_rounds(
         &|u: NodeId| next_cyc[u as usize],
+        &[0, n],
         labels_a,
         labels_b,
-        n as Word,
         i,
         variant,
         obs,
     );
+    let labels: &[u8] = labels_a;
     sets.resize(n, 0);
     {
-        let labels: &[Word] = labels_a;
         sets.par_chunks_mut(CHUNK)
             .enumerate()
             .for_each(|(ci, chunk)| {
@@ -133,28 +132,26 @@ pub(crate) fn run<O: Observer>(
                     *slot = if list.next_raw(v) == NIL {
                         NO_POINTER
                     } else {
-                        labels[base + k]
+                        Word::from(labels[base + k])
                     };
                 }
             });
     }
 
-    // Distinct sets of the step-1 partition (diagnostic), via per-chunk
-    // bitmasks in the histogram scratch — bound ≤ 2·64 + 1 < 256 bits.
+    // Distinct sets of the step-1 partition (diagnostic): per-chunk
+    // bitmasks over the byte labels of every pointer tail, in the
+    // histogram scratch.
     let nchunks = n.div_ceil(CHUNK).max(1);
     hist.clear();
     hist.resize(nchunks * 4, 0);
-    {
-        let s: &[Word] = sets;
-        hist.par_chunks_mut(4).enumerate().for_each(|(ci, row)| {
-            for &k in &s[ci * CHUNK..((ci + 1) * CHUNK).min(n)] {
-                if k != NO_POINTER {
-                    debug_assert!(k < 256);
-                    row[(k >> 6) as usize] |= 1 << (k & 63);
-                }
+    hist.par_chunks_mut(4).enumerate().for_each(|(ci, row)| {
+        let lo = ci * CHUNK;
+        for (v, &k) in (lo..).zip(&labels[lo..(lo + CHUNK).min(n)]) {
+            if list.next_raw(v as NodeId) != NIL {
+                row[usize::from(k >> 6)] |= 1 << (k & 63);
             }
-        });
-    }
+        }
+    });
     let mut seen = [0usize; 4];
     for row in hist.chunks(4) {
         for (q, &word) in row.iter().enumerate() {

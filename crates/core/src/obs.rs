@@ -430,11 +430,17 @@ pub fn record_pram_trace<O: Observer>(
     obs.exit();
 }
 
-/// Bytes moved by `rounds` unfused relabel rounds over `n` nodes: each
-/// round reads the current labels (8n), gathers successor labels (8n),
-/// reads the successor pointers (4n), and writes the new labels (8n).
+/// Bytes moved by `rounds` relabel rounds over `n` nodes with byte
+/// labels. Round 1 reads the successor pointers (4n) and writes the
+/// labels (n); each later round reads the successor pointers (4n), the
+/// current labels (n) and the gathered successor labels (n), and writes
+/// the new labels (n). Zero rounds write the address labels (n).
 pub(crate) fn relabel_bytes(n: usize, rounds: u32) -> u64 {
-    28 * n as u64 * u64::from(rounds)
+    let n = n as u64;
+    match rounds {
+        0 => n,
+        r => 5 * n + 7 * n * u64::from(r - 1),
+    }
 }
 
 #[cfg(test)]

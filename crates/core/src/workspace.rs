@@ -50,10 +50,17 @@ pub struct Workspace {
     pub(crate) pred_atomic: Vec<AtomicU32>,
     /// Plain predecessor array (copied out of `pred_atomic`).
     pub(crate) pred: Vec<NodeId>,
-    /// Label double buffer A (holds the result after relabel rounds).
-    pub(crate) labels_a: Vec<Word>,
-    /// Label double buffer B.
-    pub(crate) labels_b: Vec<Word>,
+    /// Byte label double buffer A (holds the result after relabel
+    /// rounds, and Match3's post-probe labels).
+    pub(crate) labels_a: Vec<u8>,
+    /// Byte label double buffer B.
+    pub(crate) labels_b: Vec<u8>,
+    /// Match3 label-window double buffer A: the first jump round widens
+    /// the byte labels into these concatenated `Word` windows, which the
+    /// table probe then reads. The only `Word` label buffers left.
+    pub(crate) win_a: Vec<Word>,
+    /// Match3 label-window double buffer B.
+    pub(crate) win_b: Vec<Word>,
     /// Match3 jump-pointer double buffer A.
     pub(crate) nxt_a: Vec<NodeId>,
     /// Match3 jump-pointer double buffer B.
@@ -147,21 +154,6 @@ impl Workspace {
             });
     }
 
-    /// Initialize `labels_a` with node addresses (and size `labels_b`).
-    pub(crate) fn prepare_address_labels(&mut self, n: usize) {
-        self.labels_a.resize(n, 0);
-        self.labels_b.resize(n, 0);
-        self.labels_a
-            .par_chunks_mut(CHUNK)
-            .enumerate()
-            .for_each(|(ci, chunk)| {
-                let base = ci * CHUNK;
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    *slot = (base + i) as Word;
-                }
-            });
-    }
-
     /// Fill `next_cyc` for a fused batch: job `j`'s nodes occupy
     /// `offsets[j] .. offsets[j+1]` and its successors are translated
     /// into that window, so the concatenation is a disjoint union of the
@@ -183,27 +175,6 @@ impl Workspace {
         });
     }
 
-    /// Initialize `labels_a` with each job's **local** addresses
-    /// (`labels[off + v] = v`), so every fused job starts from exactly
-    /// the label state its solo run would (and size `labels_b`).
-    pub(crate) fn prepare_batch_local_labels(&mut self, offsets: &[usize]) {
-        let total = *offsets.last().expect("offsets never empty");
-        self.labels_a.resize(total, 0);
-        self.labels_b.resize(total, 0);
-        let mut rest: &mut [Word] = &mut self.labels_a;
-        let mut slices = Vec::with_capacity(offsets.len() - 1);
-        for j in 0..offsets.len() - 1 {
-            let (head, tail) = rest.split_at_mut(offsets[j + 1] - offsets[j]);
-            slices.push(head);
-            rest = tail;
-        }
-        slices.into_par_iter().for_each(|slot| {
-            for (v, s) in slot.iter_mut().enumerate() {
-                *s = v as Word;
-            }
-        });
-    }
-
     /// Clear every per-node buffer while keeping its allocation (and the
     /// grid storage and Match3 table cache intact). The service layer
     /// calls this when returning an arena to the pool after a job
@@ -216,6 +187,8 @@ impl Workspace {
         self.pred.clear();
         self.labels_a.clear();
         self.labels_b.clear();
+        self.win_a.clear();
+        self.win_b.clear();
         self.nxt_a.clear();
         self.nxt_b.clear();
         self.cut.clear();

@@ -1,14 +1,19 @@
-//! The experiment driver: regenerates every claim-curve of the paper.
+//! The experiment driver: regenerates the paper's claim tables and the
+//! counter-checked artifacts.
 //!
 //! ```text
 //! cargo run --release -p parmatch-bench --bin experiments -- all
 //! cargo run --release -p parmatch-bench --bin experiments -- e7
+//! cargo run --release -p parmatch-bench --bin experiments -- bounds --json --quick
 //! ```
 //!
-//! Experiment ids follow DESIGN.md §4; each prints the table recorded in
-//! EXPERIMENTS.md.
+//! Ids `e1`..`e14` (no `e11`) print the claim tables recorded in
+//! EXPERIMENTS.md; DESIGN.md §4 maps each to its paper claim. `engine`,
+//! `faults`, `bounds` and `service` also return an artifact, which
+//! `main` writes to the current directory when `--json` is set. Wall-clock
+//! numbers for the native matchers come from `perfbench`, not from here.
 
-use parmatch_bench::{fmt_dur, print_table, timed, SEED};
+use parmatch_bench::{fmt_dur, med, print_table, timed, SEED};
 use parmatch_bits::{g_of, ilog2_ceil, iterated_log_ceil, BitReversalTable, UnaryToBinaryTable};
 use parmatch_core::pram_impl::{match1_pram, match2_pram, match4_pram};
 use parmatch_core::table::{fold_value, TupleTable};
@@ -19,15 +24,24 @@ use parmatch_core::{
 use parmatch_list::random_list;
 use parmatch_pram::ExecMode;
 
+/// The command-line flags an experiment reads.
+struct Opts {
+    /// `--quick`: `bounds` and `service` shrink their grids for CI.
+    quick: bool,
+}
+
+/// A file an experiment produced: `main` writes it when `--json` is set.
+struct Artifact {
+    file: &'static str,
+    body: String,
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = args.iter().any(|a| a == "--json");
-    if args.iter().any(|a| a == "--quick") {
-        QUICK.store(true, std::sync::atomic::Ordering::Relaxed);
-    }
-    if json {
-        JSON_OUT.with(|j| *j.borrow_mut() = Some(Vec::new()));
-    }
+    let opts = Opts {
+        quick: args.iter().any(|a| a == "--quick"),
+    };
     let which = args
         .iter()
         .find(|a| !a.starts_with("--"))
@@ -35,9 +49,12 @@ fn main() {
         .unwrap_or_else(|| "all".to_string());
     let all = which == "all";
     let mut ran = false;
-    for (id, f) in EXPERIMENTS {
+    for (id, run) in EXPERIMENTS {
         if all || which == *id {
-            f();
+            if let Some(Artifact { file, body }) = run(&opts).filter(|_| json) {
+                std::fs::write(file, body).unwrap_or_else(|e| panic!("write {file}: {e}"));
+                println!("wrote {file}");
+            }
             println!();
             ran = true;
         }
@@ -49,38 +66,12 @@ fn main() {
         }
         std::process::exit(1);
     }
-    if json {
-        let body = JSON_OUT.with(|j| j.borrow_mut().take()).unwrap_or_default();
-        // Experiments that emit no top-level fields (e.g. `faults`,
-        // which writes its own artifact) must not clobber
-        // BENCH_engine.json with an empty object.
-        if !body.is_empty() {
-            let out = format!("{{\n{}\n}}\n", body.join(",\n"));
-            std::fs::write("BENCH_engine.json", &out).expect("write BENCH_engine.json");
-            println!("wrote BENCH_engine.json");
-        }
-    }
 }
 
-thread_local! {
-    /// Top-level JSON fields accumulated by experiments when `--json`
-    /// is set (only the `engine` experiment emits any today).
-    static JSON_OUT: std::cell::RefCell<Option<Vec<String>>> = const { std::cell::RefCell::new(None) };
-}
+/// Every experiment prints its table and may return an artifact.
+type Experiment = fn(&Opts) -> Option<Artifact>;
 
-/// `--quick`: shrink experiment grids for CI smoke runs (only the
-/// `native` experiment honors it today).
-static QUICK: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-fn json_field(key: &str, value: String) {
-    JSON_OUT.with(|j| {
-        if let Some(fields) = j.borrow_mut().as_mut() {
-            fields.push(format!("  \"{key}\": {value}"));
-        }
-    });
-}
-
-const EXPERIMENTS: &[(&str, fn())] = &[
+const EXPERIMENTS: &[(&str, Experiment)] = &[
     ("e1", e1_bisecting_lines),
     ("e2", e2_lemma1),
     ("e3", e3_lemma2),
@@ -91,13 +82,11 @@ const EXPERIMENTS: &[(&str, fn())] = &[
     ("e8", e8_walkdown),
     ("e9", e9_applications),
     ("e10", e10_appendix),
-    ("e11", e11_native),
     ("e12", e12_shift_graph),
     ("e13", e13_erew_machinery),
     ("e14", e14_optimal_ranking),
     ("engine", engine_bench),
     ("faults", e15_faults),
-    ("native", e16_native_scaling),
     ("bounds", e17_bounds),
     ("service", e18_service),
 ];
@@ -106,15 +95,14 @@ const EXPERIMENTS: &[(&str, fn())] = &[
 /// each recorded counter checked against the paper's closed-form bound
 /// and the exact `cost::*_native_work` predictor, plus a PRAM trace
 /// bridged into the same span vocabulary. Output carries no timings,
-/// so it is byte-deterministic across runs; with `--json`, writes
-/// `BENCH_bounds.json`; `--quick` shrinks the grid for CI.
-fn e17_bounds() {
+/// so it is byte-deterministic across runs; returns `BENCH_bounds.json`.
+fn e17_bounds(opts: &Opts) -> Option<Artifact> {
     use parmatch_core::obs::record_pram_trace;
     use parmatch_core::pram_impl::{match2_pram as m2p, match4_pram as m4p};
     use parmatch_core::{Recorder, Recording, Workspace};
     use parmatch_pram::fault::{arm_with_trace, take_probes, FaultPlan};
 
-    let quick = QUICK.load(std::sync::atomic::Ordering::Relaxed);
+    let quick = opts.quick;
     println!("## E17 — bound audit: measured counters vs the paper's predictions");
     let ns: &[u64] = if quick {
         &[1 << 8, 1 << 12]
@@ -257,163 +245,21 @@ fn e17_bounds() {
     print_table(&["pram run", "steps", "work", "phases"], &pram_rows);
     println!("(PRAM traces bridged through obs::record_pram_trace at n = 2^10, p = n/log n)");
 
-    let json_active = JSON_OUT.with(|j| j.borrow().is_some());
-    if json_active {
-        let body = format!(
+    Some(Artifact {
+        file: "BENCH_bounds.json",
+        body: format!(
             "{{\n  \"experiment\": \"bounds\",\n  \"quick\": {quick},\n  \"seed\": {SEED},\n  \
              \"cells\": [\n{}\n  ]\n}}\n",
             cells.join(",\n")
-        );
-        std::fs::write("BENCH_bounds.json", body).expect("write BENCH_bounds.json");
-        println!("wrote BENCH_bounds.json");
-    }
-}
-
-/// E16: the native scaling suite — all four workspace-backed matchers
-/// over an n × threads grid, asserting bit-identical outputs at every
-/// thread count. With `--json`, writes `BENCH_native.json`; `--quick`
-/// shrinks the grid to an n = 2^14 CI smoke run.
-fn e16_native_scaling() {
-    use parmatch_core::Workspace;
-    use std::time::Instant;
-
-    let quick = QUICK.load(std::sync::atomic::Ordering::Relaxed);
-    println!("## E16 — native scaling: workspace pipeline over n × threads");
-    let ns: &[usize] = if quick {
-        &[1 << 14]
-    } else {
-        &[1 << 16, 1 << 18, 1 << 20, 1 << 22]
-    };
-    let thread_grid: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
-    let reps = if quick { 2 } else { 3 };
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-
-    // Median seconds per call over `reps` calls after one warmup.
-    fn med<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-        f();
-        let mut times: Vec<f64> = (0..reps)
-            .map(|_| {
-                let t = Instant::now();
-                f();
-                t.elapsed().as_secs_f64()
-            })
-            .collect();
-        times.sort_by(f64::total_cmp);
-        times[times.len() / 2]
-    }
-
-    let algos: &[&str] = &["match1", "match2", "match3", "match4"];
-    let mut rows = Vec::new();
-    let mut json_results = Vec::new();
-    for &n in ns {
-        let list = random_list(n, SEED);
-        // reference outputs at the first thread count; every other
-        // thread count must reproduce them bit for bit
-        let mut reference: Vec<parmatch_core::Matching> = Vec::new();
-        for &threads in thread_grid {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let (outs, secs, workers) = pool.install(|| {
-                let mut ws = Workspace::new();
-                let cfg = Match3Config::default();
-                let outs = vec![
-                    Runner::new(Algorithm::Match1)
-                        .workspace(&mut ws)
-                        .run(&list)
-                        .into_matching(),
-                    Runner::new(Algorithm::Match2)
-                        .rounds(2)
-                        .workspace(&mut ws)
-                        .run(&list)
-                        .into_matching(),
-                    Runner::new(Algorithm::Match3)
-                        .config(cfg)
-                        .workspace(&mut ws)
-                        .run(&list)
-                        .into_matching(),
-                    Runner::new(Algorithm::Match4)
-                        .levels(2)
-                        .workspace(&mut ws)
-                        .run(&list)
-                        .into_matching(),
-                ];
-                let secs = vec![
-                    med(reps, || {
-                        Runner::new(Algorithm::Match1).workspace(&mut ws).run(&list);
-                    }),
-                    med(reps, || {
-                        Runner::new(Algorithm::Match2)
-                            .rounds(2)
-                            .workspace(&mut ws)
-                            .run(&list);
-                    }),
-                    med(reps, || {
-                        Runner::new(Algorithm::Match3)
-                            .config(cfg)
-                            .workspace(&mut ws)
-                            .run(&list);
-                    }),
-                    med(reps, || {
-                        Runner::new(Algorithm::Match4)
-                            .levels(2)
-                            .workspace(&mut ws)
-                            .run(&list);
-                    }),
-                ];
-                (outs, secs, rayon::pool_workers())
-            });
-            if reference.is_empty() {
-                reference = outs;
-            } else {
-                for (a, (got, want)) in algos.iter().zip(outs.iter().zip(reference.iter())) {
-                    assert_eq!(
-                        got, want,
-                        "{a} diverged at n={n} threads={threads}: outputs must be bit-identical"
-                    );
-                }
-            }
-            for (algo, &s) in algos.iter().zip(secs.iter()) {
-                let mnps = n as f64 / s / 1e6;
-                rows.push(vec![
-                    format!("2^{}", n.trailing_zeros()),
-                    threads.to_string(),
-                    algo.to_string(),
-                    format!("{:.1} ms", s * 1e3),
-                    format!("{mnps:.1}M"),
-                ]);
-                json_results.push(format!(
-                    "    {{\"algo\": \"{algo}\", \"n\": {n}, \"threads\": {threads}, \
-                     \"pool_workers\": {workers}, \"secs\": {s:.6}, \
-                     \"mnodes_per_sec\": {mnps:.3}, \"identical\": true}}"
-                ));
-            }
-        }
-    }
-    print_table(&["n", "threads", "algo", "median", "nodes/s"], &rows);
-    println!(
-        "(workspace reused across runs — steady state allocates nothing; outputs asserted \
-         bit-identical across all thread counts; machine exposes {cores} hardware \
-         thread(s), so wall-clock scaling tops out there regardless of pool size)"
-    );
-    let json_active = JSON_OUT.with(|j| j.borrow().is_some());
-    if json_active {
-        let body = format!(
-            "{{\n  \"experiment\": \"native_scaling\",\n  \"quick\": {quick},\n  \
-             \"available_parallelism\": {cores},\n  \"seed\": {SEED},\n  \"results\": [\n{}\n  ]\n}}\n",
-            json_results.join(",\n")
-        );
-        std::fs::write("BENCH_native.json", body).expect("write BENCH_native.json");
-        println!("wrote BENCH_native.json");
-    }
+        ),
+    })
 }
 
 /// E15: the fault-injection detection matrix — every fault class
 /// through every matcher under the self-checking runner, counting
 /// injected / detected-by-engine / caught-by-verifier / recovered.
-/// With `--json`, writes `BENCH_faults.json`.
-fn e15_faults() {
+/// Returns `BENCH_faults.json`.
+fn e15_faults(_: &Opts) -> Option<Artifact> {
     use parmatch_testkit::{fault_matrix, matrix_json, MatrixConfig};
     println!("## E15 — fault injection: detection matrix of the self-checking matchers");
     let cfg = MatrixConfig {
@@ -462,37 +308,21 @@ fn e15_faults() {
          transient model recovers every failed run)",
         cfg.n, cfg.seed, cfg.trials, cfg.sites_per_trial
     );
-    let json_active = JSON_OUT.with(|j| j.borrow().is_some());
-    if json_active {
-        std::fs::write("BENCH_faults.json", matrix_json(&cfg, &cells))
-            .expect("write BENCH_faults.json");
-        println!("wrote BENCH_faults.json");
-    }
+    Some(Artifact {
+        file: "BENCH_faults.json",
+        body: matrix_json(&cfg, &cells),
+    })
 }
 
 /// Engine benchmark: the epoch-stamped step engine (and the dense fast
 /// path) against the preserved legacy engine, plus the new engine's
-/// simulated-steps-per-second on the E4/E7 sweeps. With `--json`,
-/// writes the numbers to `BENCH_engine.json`.
-fn engine_bench() {
+/// simulated-steps-per-second on the E4/E7 sweeps. Returns the numbers
+/// as `BENCH_engine.json`.
+fn engine_bench(_: &Opts) -> Option<Artifact> {
     use parmatch_pram::{LegacyMachine, Machine, Model, Region};
     use std::time::Instant;
 
     println!("## ENGINE — step engines head to head (one sweep step, EREW)");
-
-    // Median seconds per call over `reps` calls after one warmup.
-    fn med<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-        f();
-        let mut times: Vec<f64> = (0..reps)
-            .map(|_| {
-                let t = Instant::now();
-                f();
-                t.elapsed().as_secs_f64()
-            })
-            .collect();
-        times.sort_by(f64::total_cmp);
-        times[times.len() / 2]
-    }
 
     let mut rows = Vec::new();
     let mut json_steps = Vec::new();
@@ -584,8 +414,6 @@ fn engine_bench() {
         &rows,
     );
     println!("(speedup at p=2^20 checked, new vs legacy: {speedup_p20:.2}x)");
-    json_field("engine_step", format!("[\n{}\n  ]", json_steps.join(",\n")));
-    json_field("speedup_checked_p20", format!("{speedup_p20:.3}"));
 
     // E4/E7-shaped sweeps: whole algorithms on the simulator,
     // simulated steps per wall-second with the new engine.
@@ -631,8 +459,16 @@ fn engine_bench() {
         ));
     }
     print_table(&["sweep", "sim steps", "wall", "sim steps/s"], &rows);
-    json_field("e4_match1", format!("[\n{}\n  ]", json_e4.join(",\n")));
-    json_field("e7_match4", format!("[\n{}\n  ]", json_e7.join(",\n")));
+    Some(Artifact {
+        file: "BENCH_engine.json",
+        body: format!(
+            "{{\n  \"engine_step\": [\n{}\n  ],\n  \"speedup_checked_p20\": {speedup_p20:.3},\n  \
+             \"e4_match1\": [\n{}\n  ],\n  \"e7_match4\": [\n{}\n  ]\n}}\n",
+            json_steps.join(",\n"),
+            json_e4.join(",\n"),
+            json_e7.join(",\n")
+        ),
+    })
 }
 
 /// E18: the batched match service — fused same-class sweeps vs per-job
@@ -640,36 +476,21 @@ fn engine_bench() {
 /// asserted bit-identical in-run to a solo [`Runner`] run of the same
 /// job, then the same mix replayed through a live
 /// [`MatchService`](parmatch_service::MatchService).
-/// Timings print to stdout only; with `--json`, writes
-/// `BENCH_service.json` carrying the deterministic fields (grid shape,
-/// fused rounds, identity booleans), so the artifact is byte-identical
-/// across reruns. `--quick` shrinks the job count for CI.
-fn e18_service() {
+/// Timings print to stdout only; the returned `BENCH_service.json`
+/// carries the deterministic fields (grid shape, fused rounds, identity
+/// booleans), so the artifact is byte-identical across reruns.
+fn e18_service(opts: &Opts) -> Option<Artifact> {
     use parmatch_core::{match1_batch_in, BatchKey, BatchPlan, Workspace};
     use parmatch_list::LinkedList;
     use parmatch_service::{JobSpec, MatchService, ServiceConfig, SubmitError};
     use std::time::Instant;
 
-    let quick = QUICK.load(std::sync::atomic::Ordering::Relaxed);
+    let quick = opts.quick;
     println!("## E18 — service: fused batched sweeps vs per-job runs");
     let jobs_total: usize = if quick { 512 } else { 4096 };
     let classes: &[(&str, usize, usize)] = &[("33..=64", 33, 64), ("65..=128", 65, 128)];
     let batch_sizes: &[usize] = &[8, 32, 128];
     let reps = if quick { 3 } else { 5 };
-
-    // Median seconds per call over `reps` calls after one warmup.
-    fn med<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-        f();
-        let mut times: Vec<f64> = (0..reps)
-            .map(|_| {
-                let t = Instant::now();
-                f();
-                t.elapsed().as_secs_f64()
-            })
-            .collect();
-        times.sort_by(f64::total_cmp);
-        times[times.len() / 2]
-    }
 
     let job_mix = |lo: usize, hi: usize| -> Vec<LinkedList> {
         (0..jobs_total)
@@ -844,24 +665,22 @@ fn e18_service() {
         fused
     );
 
-    let json_active = JSON_OUT.with(|j| j.borrow().is_some());
-    if json_active {
-        let body = format!(
+    Some(Artifact {
+        file: "BENCH_service.json",
+        body: format!(
             "{{\n  \"experiment\": \"service\",\n  \"quick\": {quick},\n  \"seed\": {SEED},\n  \
              \"jobs\": {jobs_total},\n  \"algorithm\": \"match1\",\n  \"cells\": [\n{}\n  ],\n  \
              \"service\": {{\"jobs\": {}, \"workers\": 2, \"max_batch\": 32, \
              \"identical\": true}}\n}}\n",
             json_cells.join(",\n"),
             lists.len()
-        );
-        std::fs::write("BENCH_service.json", body).expect("write BENCH_service.json");
-        println!("wrote BENCH_service.json");
-    }
+        ),
+    })
 }
 
 /// E1 (Fig. 1–2): forward/backward pointers crossing each bisecting line
 /// form matchings; histogram of g-values.
-fn e1_bisecting_lines() {
+fn e1_bisecting_lines(_: &Opts) -> Option<Artifact> {
     println!("## E1 — bisecting-line structure (Fig. 1 and Fig. 2)");
     let n: usize = 1 << 16;
     let list = random_list(n, SEED);
@@ -906,10 +725,11 @@ fn e1_bisecting_lines() {
         &rows,
     );
     println!("(every row must read true/true: Section 2's intuitive observation)");
+    None
 }
 
 /// E2 (Lemma 1): one application of f gives ≤ 2⌈log n⌉ matching sets.
-fn e2_lemma1() {
+fn e2_lemma1(_: &Opts) -> Option<Artifact> {
     println!("## E2 — Lemma 1: f partitions into ≤ 2·log n matching sets");
     let mut rows = Vec::new();
     for e in [8u32, 10, 12, 14, 16, 18, 20] {
@@ -930,10 +750,11 @@ fn e2_lemma1() {
         &["n", "bound 2·log n", "sets (MSB f)", "sets (LSB f)"],
         &rows,
     );
+    None
 }
 
 /// E3 (Lemma 2 / Lemma 3): k applications give ≤ 2·log^(k-1) n (1+o(1)).
-fn e3_lemma2() {
+fn e3_lemma2(_: &Opts) -> Option<Artifact> {
     println!("## E3 — Lemma 2: f^(k) partitions into ≈ 2·log^(k-1) n matching sets");
     let mut rows = Vec::new();
     for e in [10u32, 14, 18, 22] {
@@ -962,10 +783,11 @@ fn e3_lemma2() {
         &rows,
     );
     println!("(cells are measured distinct sets / the 2·log^(k-1) n reference)");
+    None
 }
 
 /// E4 (Match1, Lemma 3): steps ≈ c·(G(n)+2B)·n/p + G(n).
-fn e4_match1() {
+fn e4_match1(_: &Opts) -> Option<Artifact> {
     println!("## E4 — Match1: simulated steps vs O(n·G(n)/p + G(n))");
     let n = 1usize << 12;
     let list = random_list(n, SEED);
@@ -1005,10 +827,11 @@ fn e4_match1() {
         max_len,
         2 * labels.bound() - 1
     );
+    None
 }
 
 /// E5 (Match2, Lemma 4): optimal to p = n/log n; the sort dominates past it.
-fn e5_match2() {
+fn e5_match2(_: &Opts) -> Option<Artifact> {
     println!("## E5 — Match2: work-efficiency and the sorting bottleneck");
     let n = 1usize << 12;
     let list = random_list(n, SEED);
@@ -1034,10 +857,11 @@ fn e5_match2() {
     }
     print_table(&["p", "steps", "sort steps", "sort share", "p·T/n"], &rows);
     println!("(n = 2^12, n/log n = {p_star}: p·T/n stays O(1) below it and grows past it, with the sort share rising — the bottleneck the paper pinpoints)");
+    None
 }
 
 /// E6 (Match3, Lemma 5): crunch/jump/table trade-off.
-fn e6_match3() {
+fn e6_match3(_: &Opts) -> Option<Artifact> {
     println!("## E6 — Match3: table-lookup algorithm and its k trade-off");
     let n = 1usize << 20;
     let list = random_list(n, SEED);
@@ -1084,10 +908,11 @@ fn e6_match3() {
     verify::assert_maximal_matching(&list, m1.matching());
     println!("(reference: Match1 on the same list takes {} with {} rounds — Match3 trades its G(n) rounds for log G(n) jumps + one probe; n = 2^20)",
         fmt_dur(d1), m1.as_match1().expect("match1 outcome").rounds);
+    None
 }
 
 /// E7 (Match4, Theorems 1–2): the headline curves.
-fn e7_match4() {
+fn e7_match4(_: &Opts) -> Option<Artifact> {
     println!("## E7 — Match4: O(i·n/p + log^(i) n), optimal to p = n/log^(i) n");
     let n = 1usize << 12;
     let list = random_list(n, SEED);
@@ -1155,10 +980,11 @@ fn e7_match4() {
         &rows,
     );
     println!("(Match2's steps grow with log n; Match4's stay flat while using MORE processors)");
+    None
 }
 
 /// E8 (Lemmas 6–7): WalkDown schedule invariants.
-fn e8_walkdown() {
+fn e8_walkdown(_: &Opts) -> Option<Artifact> {
     println!("## E8 — WalkDown: Lemma 7 pipeline invariant and round counts");
     // Lemma 7 on synthetic sorted key columns
     let mut rows = Vec::new();
@@ -1211,10 +1037,11 @@ fn e8_walkdown() {
         "grid {x} rows × {} cols: {} inter-row + {} intra-row pointers, 3-colored in {} lockstep rounds (= 3x-1 = {}); coloring verified proper",
         grid.cols(), inter, list.pointer_count() - inter, rounds, 3 * x - 1
     );
+    None
 }
 
 /// E9: the applications, against their baselines.
-fn e9_applications() {
+fn e9_applications(_: &Opts) -> Option<Artifact> {
     println!("## E9 — applications: MIS / 3-coloring / ranking work");
     use parmatch_apps::{is_maximal_independent_set, mis_via_match4, rank_by_contraction};
     use parmatch_baselines::{cv::cv_color3, randomized_matching, wyllie_ranks};
@@ -1306,10 +1133,11 @@ fn e9_applications() {
         &rows,
     );
     println!("(Wyllie's work/n grows with log n; each matching-contraction level stays flat — the growth gap behind optimal ranking)");
+    None
 }
 
 /// E10: the appendix machinery.
-fn e10_appendix() {
+fn e10_appendix(_: &Opts) -> Option<Artifact> {
     println!("## E10 — appendix: table-driven evaluation of f, log, G");
     let width = 24u32;
     let rev = BitReversalTable::new(8);
@@ -1371,11 +1199,12 @@ fn e10_appendix() {
     // fold sanity line
     let v = fold_value(&[5, 2, 7, 2], 3, CoinVariant::Msb);
     println!("(example: f^(4)(5,2,7,2) with 3-bit args = {v})");
+    None
 }
 
 /// E12 (the Remark): how few matching sets *any* partition function can
 /// achieve — sandwiching χ of the shift graph.
-fn e12_shift_graph() {
+fn e12_shift_graph(_: &Opts) -> Option<Artifact> {
     println!("## E12 — the Remark: shift-graph chromatic bounds");
     use parmatch_core::shift_graph::{
         exact_shift_chromatic, f_set_count, greedy_shift_coloring, shift_coloring_is_proper,
@@ -1417,11 +1246,12 @@ fn e12_shift_graph() {
         "(the Remark's Sperner construction sits at log n + O(log log n), below f's 2·log n; \
          structure-blind greedy explodes — the deterministic structure does real work)"
     );
+    None
 }
 
 /// E13: the appendix's EREW machinery on the machine — table broadcast,
 /// Match3 with per-processor table copies, and the log G(n) evaluation.
-fn e13_erew_machinery() {
+fn e13_erew_machinery(_: &Opts) -> Option<Artifact> {
     println!("## E13 — appendix on the machine: EREW table copies and log G evaluation");
     use parmatch_core::pram_impl::{eval_log_g_pram, match3_pram};
     let list = random_list(1 << 12, SEED);
@@ -1486,11 +1316,12 @@ fn e13_erew_machinery() {
         &rows,
     );
     println!("(the pointer-jumping evaluation returns Θ(G) and Θ(log G) in O(log G(n)) steps with n processors — the appendix's claim)");
+    None
 }
 
 /// E14: optimal list ranking assembled on the machine — matching
 /// contraction + compaction scans + jumping finisher, vs pure Wyllie.
-fn e14_optimal_ranking() {
+fn e14_optimal_ranking(_: &Opts) -> Option<Artifact> {
     println!("## E14 — optimal list ranking on the machine (contraction vs Wyllie)");
     use parmatch_core::pram_impl::{rank_pram, wyllie_pram};
     let mut rows = Vec::new();
@@ -1523,40 +1354,5 @@ fn e14_optimal_ranking() {
          switch, expansion — runs on the simulator with every access model-checked in \
          the test suite; its work/n stays flat while Wyllie's grows with log n)"
     );
-}
-
-/// E11: native wall-clock throughput across thread counts.
-fn e11_native() {
-    println!("## E11 — native wall clock: matchers vs baselines across threads");
-    use parmatch_baselines::{randomized_matching, seq_matching};
-    let n = 1usize << 22;
-    let list = random_list(n, SEED);
-    let (_, d_seq) = timed(|| seq_matching(&list));
-    println!("sequential greedy reference (1 thread): {}", fmt_dur(d_seq));
-    let mut rows = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap();
-        let (d1, d2, d4, dr) = pool.install(|| {
-            let (_, d1) = timed(|| Runner::new(Algorithm::Match1).run(&list));
-            let (_, d2) = timed(|| Runner::new(Algorithm::Match2).rounds(2).run(&list));
-            let (_, d4) = timed(|| Runner::new(Algorithm::Match4).levels(2).run(&list));
-            let (_, dr) = timed(|| randomized_matching(&list, SEED));
-            (d1, d2, d4, dr)
-        });
-        rows.push(vec![
-            threads.to_string(),
-            fmt_dur(d1),
-            fmt_dur(d2),
-            fmt_dur(d4),
-            fmt_dur(dr),
-        ]);
-    }
-    print_table(
-        &["threads", "Match1", "Match2", "Match4", "randomized"],
-        &rows,
-    );
-    println!("(n = 2^22 random layout; deterministic matchers scale with threads and beat the randomized baseline's log n rounds)");
+    None
 }

@@ -5,14 +5,6 @@
 
 use std::time::{Duration, Instant};
 
-/// Standard problem sizes for the native (wall-clock) sweeps.
-pub const NATIVE_SIZES: [usize; 4] = [1 << 14, 1 << 17, 1 << 20, 1 << 22];
-
-/// Standard problem sizes for the simulated (step-count) sweeps — the
-/// simulator is 2–3 orders of magnitude slower than native, so these are
-/// smaller while still spanning three octaves of `log n`.
-pub const SIM_SIZES: [usize; 4] = [1 << 10, 1 << 12, 1 << 14, 1 << 16];
-
 /// The seed every experiment uses unless it sweeps seeds explicitly.
 pub const SEED: u64 = 0x5EED_1989;
 
@@ -21,6 +13,15 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let t = Instant::now();
     let out = f();
     (out, t.elapsed())
+}
+
+/// Median seconds per call of `f` over `reps` timed calls, after one
+/// untimed warmup call.
+pub fn med(reps: usize, mut f: impl FnMut()) -> f64 {
+    f();
+    let mut times: Vec<f64> = (0..reps).map(|_| timed(&mut f).1.as_secs_f64()).collect();
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
 }
 
 /// Format a duration compactly for table cells.
@@ -75,6 +76,14 @@ mod tests {
         assert_eq!(fmt_dur(Duration::from_secs(2)), "2.00s");
         assert_eq!(fmt_dur(Duration::from_millis(5)), "5.00ms");
         assert_eq!(fmt_dur(Duration::from_micros(7)), "7µs");
+    }
+
+    #[test]
+    fn med_warms_up_then_times_each_rep() {
+        let mut calls = 0;
+        let secs = med(3, || calls += 1);
+        assert_eq!(calls, 4);
+        assert!(secs >= 0.0);
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub use labels::{f_ext, f_pair, LabelSeq};
 pub use match1::Match1Output;
 pub use match2::Match2Output;
 pub use match3::{Match3Config, Match3Error, Match3Output};
-pub use match4::{match4_from_partition, Match4Output};
+pub use match4::Match4Output;
 pub use matching::Matching;
 pub use obs::{NoopObserver, Observer, Recorder, Recording};
 pub use parmatch_bits::coin::CoinVariant;

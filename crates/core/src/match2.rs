@@ -163,6 +163,29 @@ mod tests {
     }
 
     #[test]
+    fn agrees_with_reference_composition() {
+        // match2 == pointer_sets (LabelSeq rounds) + greedy_by_sets (the
+        // allocation-per-call reference sweep), bit for bit.
+        use crate::finish::greedy_by_sets;
+        use crate::partition::pointer_sets;
+        for seed in 0..4 {
+            let list = random_list(3 * CHUNK + 5, seed);
+            for rounds in 1..=3 {
+                for variant in [CoinVariant::Msb, CoinVariant::Lsb] {
+                    let reference = pointer_sets(&list, rounds, variant);
+                    let out = match2(&list, rounds, variant);
+                    assert_eq!(out.partition, reference, "seed {seed} rounds {rounds}");
+                    assert_eq!(
+                        out.matching,
+                        greedy_by_sets(&list, &reference, None),
+                        "seed {seed} rounds {rounds}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn two_rounds_is_log_log_sets() {
         let list = random_list(1 << 16, 4);
         let out = match2(&list, 2, CoinVariant::Msb);

@@ -15,17 +15,16 @@
 //! column); the step-count form lives in
 //! [`pram_impl`](crate::pram_impl).
 //!
-//! Step 1 here iterates `f` directly (`O(i·n/p)`, the Lemma 3 form);
-//! the `log i` refinement comes from the Match3 table technique and is
-//! available by pre-partitioning with [`crate::table`] — the experiment
-//! drivers exercise both.
+//! Step 1 here iterates `f` directly (`O(i·n/p)`, the Lemma 3 form).
+//! Theorem 2's `log i` refinement would replace it with the Match3 table
+//! technique ([`crate::table`]); this pipeline does not plug that in.
 
-use crate::finish::{greedy_by_sets, greedy_core};
+use crate::finish::greedy_core;
 use crate::labels::relabel_rounds;
 use crate::matching::Matching;
 use crate::obs::Observer;
-use crate::partition::{PointerSets, NO_POINTER};
-use crate::walkdown::{color_pointers, walkdown1, walkdown2, Grid, UNCOLORED};
+use crate::partition::NO_POINTER;
+use crate::walkdown::{walkdown1, walkdown2, Grid, UNCOLORED};
 use crate::workspace::{Workspace, CHUNK};
 use crate::CoinVariant;
 use parmatch_bits::{ilog2_ceil, Word};
@@ -266,42 +265,6 @@ impl Drop for GridGuard<'_> {
         if let Some(grid) = self.grid.take() {
             *self.slot = grid.into_storage();
         }
-    }
-}
-
-/// Steps 2–5 of Match4 on an externally supplied partition (this is how
-/// the table-based `O(log i)` partition of Match3 plugs in).
-pub fn match4_from_partition(list: &LinkedList, ps: &PointerSets) -> Match4Output {
-    let x = ps.bound() as usize;
-    let grid = Grid::new(list, ps, x);
-    let (colors, walk_rounds) = color_pointers(list, &grid);
-    debug_assert!(crate::verify::coloring_is_proper(list, &colors, 3));
-
-    // Step 5: the 3 color classes are matching sets; sweep them greedily
-    // (equivalently Match1 steps 3–4 on the 3-bounded labels).
-    let color_sets = PointerSets::from_raw(
-        colors
-            .par_iter()
-            .enumerate()
-            .map(|(_v, &c)| {
-                debug_assert!(c < 3 || c == UNCOLORED);
-                if c == UNCOLORED {
-                    NO_POINTER
-                } else {
-                    Word::from(c)
-                }
-            })
-            .collect(),
-        3,
-        ps.rounds(),
-    );
-    let matching = greedy_by_sets(list, &color_sets, None);
-    Match4Output {
-        matching,
-        rows: grid.rows(),
-        cols: grid.cols(),
-        distinct_sets: ps.distinct_sets(),
-        walk_rounds,
     }
 }
 

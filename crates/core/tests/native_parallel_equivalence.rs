@@ -22,6 +22,8 @@ fn on_pool<R>(threads: usize, op: impl FnOnce() -> R) -> R {
         .install(op)
 }
 
+/// The last two lists span several of the pipeline's 8192-node
+/// parallel chunks, so pools of 1, 2 and 8 workers really split them.
 fn layouts() -> Vec<LinkedList> {
     vec![
         random_list(5000, 11),
@@ -31,6 +33,8 @@ fn layouts() -> Vec<LinkedList> {
         blocked_list(3001, 64, 13),
         random_list(2, 14),
         random_list(3, 15),
+        random_list(3 * 8192 + 5, 16),
+        blocked_list(2 * 8192 + 3, 64, 17),
     ]
 }
 

@@ -314,12 +314,12 @@ fn e15_faults(_: &Opts) -> Option<Artifact> {
     })
 }
 
-/// Engine benchmark: the epoch-stamped step engine (and the dense fast
-/// path) against the preserved legacy engine, plus the new engine's
+/// Engine benchmark: the epoch-stamped step engine against the
+/// preserved legacy engine, in both modes, plus the new engine's
 /// simulated-steps-per-second on the E4/E7 sweeps. Returns the numbers
 /// as `BENCH_engine.json`.
 fn engine_bench(_: &Opts) -> Option<Artifact> {
-    use parmatch_pram::{LegacyMachine, Machine, Model, Region};
+    use parmatch_pram::{LegacyMachine, Machine, Model};
     use std::time::Instant;
 
     println!("## ENGINE — step engines head to head (one sweep step, EREW)");
@@ -330,8 +330,6 @@ fn engine_bench(_: &Opts) -> Option<Artifact> {
     for shift in [17u32, 20] {
         let p = 1usize << shift;
         let reps = if shift >= 20 { 10 } else { 30 };
-        let src = Region::new(0, p);
-        let dst = Region::new(p, p);
         let body = move |ctx: &mut parmatch_pram::ProcCtx<'_>| {
             let v = ctx.read(ctx.pid());
             ctx.write(p + ctx.pid(), v + 1);
@@ -353,19 +351,6 @@ fn engine_bench(_: &Opts) -> Option<Artifact> {
             variants.push(("new_checked", med(reps, || m.step(p, body).unwrap())));
         }
         {
-            let mut m = Machine::new(Model::Erew, 2 * p);
-            variants.push((
-                "dense_checked",
-                med(reps, || {
-                    m.dense_step(p, &[dst], |ctx| {
-                        let v = ctx.get(src, ctx.pid());
-                        ctx.put(0, v + 1);
-                    })
-                    .unwrap()
-                }),
-            ));
-        }
-        {
             let mut m = LegacyMachine::new_fast(Model::Erew, 2 * p);
             variants.push(("legacy_fast", med(reps, || m.step(p, legacy_body).unwrap())));
         }
@@ -373,23 +358,11 @@ fn engine_bench(_: &Opts) -> Option<Artifact> {
             let mut m = Machine::new_fast(Model::Erew, 2 * p);
             variants.push(("new_fast", med(reps, || m.step(p, body).unwrap())));
         }
-        {
-            let mut m = Machine::new_fast(Model::Erew, 2 * p);
-            variants.push((
-                "dense_fast",
-                med(reps, || {
-                    m.dense_step(p, &[dst], |ctx| {
-                        let v = ctx.get(src, ctx.pid());
-                        ctx.put(0, v + 1);
-                    })
-                    .unwrap()
-                }),
-            ));
-        }
-        let legacy_checked = variants[0].1;
+        let secs_of = |want: &str| variants.iter().find(|v| v.0 == want).unwrap().1;
+        let (legacy_checked, legacy_fast) = (secs_of("legacy_checked"), secs_of("legacy_fast"));
         for &(name, secs) in &variants {
             let base = if name.ends_with("fast") {
-                variants[3].1
+                legacy_fast
             } else {
                 legacy_checked
             };
@@ -406,7 +379,7 @@ fn engine_bench(_: &Opts) -> Option<Artifact> {
             ));
         }
         if shift == 20 {
-            speedup_p20 = legacy_checked / variants[1].1;
+            speedup_p20 = legacy_checked / secs_of("new_checked");
         }
     }
     print_table(

@@ -18,7 +18,7 @@
 //! values are tabulated; the jumping evaluation itself concurrently
 //! reads the shared chain head).
 
-use super::{dense_for, par_for};
+use super::par_for;
 use parmatch_pram::{ExecMode, Machine, Model, PramError, Stats, Word};
 
 /// Result of [`eval_log_g_pram`].
@@ -51,15 +51,15 @@ pub fn eval_log_g_pram(n: usize, p: usize, mode: ExecMode) -> Result<AppendixEva
     let nil: Word = 0; // index 0 doubles as nil — no chain uses it
 
     // Setup sweep: N[i] := log i for powers of two, N[1] := 1.
-    dense_for(&mut m, n + 1, p, &[nn], move |ctx, i| {
+    par_for(&mut m, n + 1, p, move |ctx, i| {
         if i == 0 {
-            ctx.put(0, nil);
+            nn.set(ctx, i, nil);
         } else if i == 1 {
-            ctx.put(0, 1);
+            nn.set(ctx, i, 1);
         } else if i.is_power_of_two() {
-            ctx.put(0, i.trailing_zeros() as Word);
+            nn.set(ctx, i, i.trailing_zeros() as Word);
         } else {
-            ctx.put(0, nil);
+            nn.set(ctx, i, nil);
         }
     })?;
 

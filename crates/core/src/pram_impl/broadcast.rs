@@ -11,7 +11,7 @@
 //! (EREW-legal) and the whole replication costs
 //! `O(copies·len/p + log copies)` steps.
 
-use super::dense_for;
+use super::par_for;
 use parmatch_pram::{Machine, PramError, Region};
 
 /// Replicate `src` (length `len`) into `dst` (length `copies·len`,
@@ -34,23 +34,19 @@ pub fn broadcast_copies(
         return Ok(());
     }
     // Round 0: one sweep seeds dst copy 0 from src.
-    let copy0 = Region::new(dst.base(), len);
-    dense_for(m, len, p, &[copy0], move |ctx, j| {
-        let v = ctx.get(src, j);
-        ctx.put(0, v);
+    par_for(m, len, p, move |ctx, j| {
+        let v = src.get(ctx, j);
+        dst.set(ctx, j, v);
     })?;
-    // Doubling rounds: replicas 0..have copy onto have..2·have. The
-    // write target of element `idx` is `dst[have·len + idx]` — dense
-    // over the batch's sub-region; all reads stay below it.
+    // Doubling rounds: replicas 0..have copy onto have..2·have. Element
+    // `idx` reads `dst[idx]` and writes `dst[have·len + idx]`, so every
+    // read stays below the batch being written and is 1:1.
     let mut have = 1usize;
     while have < copies {
         let batch = have.min(copies - have);
-        let out = Region::new(dst.base() + have * len, batch * len);
-        dense_for(m, batch * len, p, &[out], move |ctx, idx| {
-            let q = idx / len; // source replica index (reads are 1:1)
-            let j = idx % len;
-            let v = ctx.get(dst, q * len + j);
-            ctx.put(0, v);
+        par_for(m, batch * len, p, move |ctx, idx| {
+            let v = dst.get(ctx, idx);
+            dst.set(ctx, have * len + idx, v);
         })?;
         have += batch;
     }

@@ -17,7 +17,7 @@
 //! Total: `O(n/p + S + log p)` steps — Lemma 4's `O(n/p + log n)`.
 
 use super::{
-    dense_for, init_labels, load_list, mask_from_region, par_for, relabel_k_rounds, scan_exclusive,
+    init_labels, load_list, mask_from_region, par_for, relabel_k_rounds, scan_exclusive,
     LabelBuffers, NIL_W,
 };
 use crate::matching::Matching;
@@ -87,14 +87,14 @@ pub fn match2_pram(
     // Pointer set numbers: set[v] = label[v], tail node in the last
     // bucket (skipped by the sweep).
     let set = m.alloc(n);
-    dense_for(&mut m, n, p, &[set], move |ctx, v| {
-        let nx = ctx.get(lr.next, v);
+    par_for(&mut m, n, p, move |ctx, v| {
+        let nx = lr.next.get(ctx, v);
         let s = if nx == NIL_W {
             bound
         } else {
-            ctx.get(label_a, v)
+            label_a.get(ctx, v)
         };
-        ctx.put(0, s);
+        set.set(ctx, v, s);
     })?;
 
     // ---- Step 2: stable counting sort by set number ----

@@ -20,7 +20,7 @@
 //! appendix accounts for separately.
 
 use super::{
-    broadcast_copies, cut_and_walk_finish, dense_for, init_labels, load_list, mask_from_region,
+    broadcast_copies, cut_and_walk_finish, init_labels, load_list, mask_from_region, par_for,
     relabel_k_rounds, LabelBuffers,
 };
 use crate::match3::{Match3Config, Match3Error};
@@ -158,26 +158,26 @@ pub fn match3_pram(
     // seed the jump successor arrays from next_cyc (one sweep)
     {
         let (na, nb) = (nx_a, nx_b);
-        dense_for(&mut m, n, p, &[na, nb], move |ctx, v| {
-            let s = ctx.get(lr.next_cyc, v);
-            ctx.put(0, s);
-            ctx.put(1, s);
+        par_for(&mut m, n, p, move |ctx, v| {
+            let s = lr.next_cyc.get(ctx, v);
+            na.set(ctx, v, s);
+            nb.set(ctx, v, s);
         })?;
     }
     let mut width = w;
     for _ in 0..j {
         let (sa, sb, da, db) = (la, lb, la2, lb2);
         let (sna, snb, dna, dnb) = (nx_a, nx_b, nx_a2, nx_b2);
-        dense_for(&mut m, n, p, &[da, db, dna, dnb], move |ctx, v| {
-            let own = ctx.get(sa, v);
-            let s = ctx.get(sna, v) as usize;
-            let nb = ctx.get(sb, s);
+        par_for(&mut m, n, p, move |ctx, v| {
+            let own = sa.get(ctx, v);
+            let s = sna.get(ctx, v) as usize;
+            let nb = sb.get(ctx, s);
             let cat = (own << width) | nb;
-            ctx.put(0, cat);
-            ctx.put(1, cat);
-            let s2 = ctx.get(snb, s); // second hop via copy b: exclusive
-            ctx.put(2, s2);
-            ctx.put(3, s2);
+            da.set(ctx, v, cat);
+            db.set(ctx, v, cat);
+            let s2 = snb.get(ctx, s); // second hop via copy b: exclusive
+            dna.set(ctx, v, s2);
+            dnb.set(ctx, v, s2);
         })?;
         std::mem::swap(&mut la, &mut la2);
         std::mem::swap(&mut lb, &mut lb2);
@@ -188,12 +188,12 @@ pub fn match3_pram(
 
     // Step 4: probe own table copy (processor q owns copy q).
     let (sa, da, db) = (la, la2, lb2);
-    dense_for(&mut m, n, p, &[da, db], move |ctx, v| {
+    par_for(&mut m, n, p, move |ctx, v| {
         let q = ctx.pid();
-        let code = ctx.get(sa, v) as usize;
-        let val = ctx.get(t_copies, q * t_len + code);
-        ctx.put(0, val);
-        ctx.put(1, val);
+        let code = sa.get(ctx, v) as usize;
+        let val = t_copies.get(ctx, q * t_len + code);
+        da.set(ctx, v, val);
+        db.set(ctx, v, val);
     })?;
 
     // Steps 5–6 with the post-lookup constant bound.

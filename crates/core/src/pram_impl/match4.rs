@@ -17,9 +17,7 @@
 //! *read* neighbor colors concurrently (two pointers may share a
 //! neighbor) while all writes stay exclusive.
 
-use super::{
-    dense_for, load_list, mask_from_region, par_for, relabel_k_rounds, LabelBuffers, NIL_W,
-};
+use super::{load_list, mask_from_region, par_for, relabel_k_rounds, LabelBuffers, NIL_W};
 use crate::matching::Matching;
 use crate::CoinVariant;
 use parmatch_list::LinkedList;
@@ -156,14 +154,14 @@ pub fn match4_on(
 
     // Sort keys: pointer set number; the tail node keys x-1 (pass-through).
     let key = m.alloc(n);
-    dense_for(m, n, p, &[key], move |ctx, v| {
-        let nx = ctx.get(lr.next, v);
+    par_for(m, n, p, move |ctx, v| {
+        let nx = lr.next.get(ctx, v);
         let k = if nx == NIL_W {
             (x - 1) as Word
         } else {
-            ctx.get(label_a, v)
+            label_a.get(ctx, v)
         };
-        ctx.put(0, k);
+        key.set(ctx, v, k);
     })?;
 
     // --- Step 2: per-column sequential counting sort. ---
@@ -236,7 +234,7 @@ pub fn match4_on(
 
     // colors, initialized to UNCOLORED in one sweep
     let color = m.alloc(n);
-    dense_for(m, n, p, &[color], move |ctx, _v| ctx.put(0, UNCOLORED_W))?;
+    par_for(m, n, p, move |ctx, v| color.set(ctx, v, UNCOLORED_W))?;
 
     // shared greedy color pick (reads are CREW)
     let pick = move |ctx: &mut ProcCtx<'_>, v: usize, w: usize, color: Region, pred: Region| {

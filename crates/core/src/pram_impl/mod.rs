@@ -42,7 +42,7 @@ pub use rank::{rank_pram, RankPram};
 pub use wyllie::{wyllie_pram, WylliePram};
 
 use parmatch_list::{LinkedList, NodeId, NIL};
-use parmatch_pram::{DenseCtx, Machine, PramError, ProcCtx, Region, Word};
+use parmatch_pram::{Machine, PramError, ProcCtx, Region, Word};
 
 /// NIL encoded as a machine word.
 pub const NIL_W: Word = Word::MAX;
@@ -59,58 +59,6 @@ where
     for s in 0..count.div_ceil(p) {
         m.step(p, move |ctx| {
             let e = s * p + ctx.pid();
-            if e < count {
-                fr(ctx, e);
-            }
-        })?;
-    }
-    Ok(())
-}
-
-/// [`par_for`] through the dense fast path: the closure for element `e`
-/// writes element `e` of output array `scopes[k]` via
-/// [`DenseCtx::put`]`(k, val)` (at most once per array) and reads only
-/// cells outside the elements the current substep is writing.
-///
-/// Substep `s` shifts every scope by `s·p`, so put `k` lands on
-/// `scopes[k].addr(e)` — exactly the `scopes[k].set(ctx, e, val)` of the
-/// [`par_for`] twin. The full `p` processors are scheduled every substep
-/// (idle tail pids simply don't put), so steps, work, reads and writes
-/// all match the [`par_for`] version cell for cell.
-///
-/// # Panics
-///
-/// Panics if a scope is shorter than the iteration space.
-pub fn dense_for<F>(
-    m: &mut Machine,
-    count: usize,
-    p: usize,
-    scopes: &[Region],
-    f: F,
-) -> Result<(), PramError>
-where
-    F: Fn(&mut DenseCtx<'_>, usize) + Sync,
-{
-    let p = p.max(1);
-    for (k, r) in scopes.iter().enumerate() {
-        assert!(
-            r.len() >= count,
-            "dense_for: scope {k} (len {}) shorter than the iteration space ({count})",
-            r.len()
-        );
-    }
-    let fr = &f;
-    let mut sub: Vec<Region> = Vec::with_capacity(scopes.len());
-    for s in 0..count.div_ceil(p) {
-        let off = s * p;
-        sub.clear();
-        sub.extend(
-            scopes
-                .iter()
-                .map(|r| Region::new(r.base() + off, count - off)),
-        );
-        m.dense_step(p, &sub, move |ctx| {
-            let e = off + ctx.pid();
             if e < count {
                 fr(ctx, e);
             }
@@ -250,34 +198,34 @@ pub fn cut_and_walk_finish(
     let mn_a = m.alloc(n);
     let mn_b = m.alloc(n);
 
-    dense_for(m, n, p, &[label_c], move |ctx, v| {
-        let l = ctx.get(label_a, v);
-        ctx.put(0, l);
+    par_for(m, n, p, move |ctx, v| {
+        let l = label_a.get(ctx, v);
+        label_c.set(ctx, v, l);
     })?;
     compute_pred(m, lr, pred, p)?;
 
     // Step 3: cut at strict local minima.
-    dense_for(m, n, p, &[cut], move |ctx, v| {
-        let nx = ctx.get(lr.next, v);
+    par_for(m, n, p, move |ctx, v| {
+        let nx = lr.next.get(ctx, v);
         if nx == NIL_W {
-            ctx.put(0, 0);
+            cut.set(ctx, v, 0);
             return;
         }
-        let lv = ctx.get(label_a, v);
-        let pu = ctx.get(pred, v);
-        let left_higher = pu == NIL_W || ctx.get(label_c, pu as usize) > lv;
-        let right_higher = ctx.get(label_b, nx as usize) > lv;
-        ctx.put(0, u64::from(left_higher && right_higher));
+        let lv = label_a.get(ctx, v);
+        let pu = pred.get(ctx, v);
+        let left_higher = pu == NIL_W || label_c.get(ctx, pu as usize) > lv;
+        let right_higher = label_b.get(ctx, nx as usize) > lv;
+        cut.set(ctx, v, u64::from(left_higher && right_higher));
     })?;
 
     // Step 4 init: walkers start at sublist heads.
-    dense_for(m, n, p, &[active, cur, parity, mask], move |ctx, v| {
-        let pu = ctx.get(pred, v);
-        let is_head = v == list_head || (pu != NIL_W && ctx.get(cut, pu as usize) != 0);
-        ctx.put(0, u64::from(is_head));
-        ctx.put(1, v as Word);
-        ctx.put(2, 0);
-        ctx.put(3, 0);
+    par_for(m, n, p, move |ctx, v| {
+        let pu = pred.get(ctx, v);
+        let is_head = v == list_head || (pu != NIL_W && cut.get(ctx, pu as usize) != 0);
+        active.set(ctx, v, u64::from(is_head));
+        cur.set(ctx, v, v as Word);
+        parity.set(ctx, v, 0);
+        mask.set(ctx, v, 0);
     })?;
 
     // Step 4: walk, one node-advance per sweep, ≤ 2·bound sweeps.
@@ -306,28 +254,28 @@ pub fn cut_and_walk_finish(
     }
 
     // Fix-up sweeps (see match1 for the rationale of the copies).
-    dense_for(m, n, p, &[mask_b], move |ctx, v| {
-        let mv = ctx.get(mask, v);
-        ctx.put(0, mv);
+    par_for(m, n, p, move |ctx, v| {
+        let mv = mask.get(ctx, v);
+        mask_b.set(ctx, v, mv);
     })?;
-    dense_for(m, n, p, &[mn_a, mn_b], move |ctx, v| {
-        let own = ctx.get(mask, v) != 0;
-        let pu = ctx.get(pred, v);
-        let from_pred = pu != NIL_W && ctx.get(mask_b, pu as usize) != 0;
+    par_for(m, n, p, move |ctx, v| {
+        let own = mask.get(ctx, v) != 0;
+        let pu = pred.get(ctx, v);
+        let from_pred = pu != NIL_W && mask_b.get(ctx, pu as usize) != 0;
         let bit = u64::from(own || from_pred);
-        ctx.put(0, bit);
-        ctx.put(1, bit);
+        mn_a.set(ctx, v, bit);
+        mn_b.set(ctx, v, bit);
     })?;
-    dense_for(m, n, p, &[mask], move |ctx, v| {
-        if ctx.get(cut, v) == 0 {
+    par_for(m, n, p, move |ctx, v| {
+        if cut.get(ctx, v) == 0 {
             return;
         }
-        let nx = ctx.get(lr.next, v);
+        let nx = lr.next.get(ctx, v);
         if nx == NIL_W {
             return;
         }
-        if ctx.get(mn_a, v) == 0 && ctx.get(mn_b, nx as usize) == 0 {
-            ctx.put(0, 1);
+        if mn_a.get(ctx, v) == 0 && mn_b.get(ctx, nx as usize) == 0 {
+            mask.set(ctx, v, 1);
         }
     })?;
     Ok(mask)
@@ -384,9 +332,9 @@ pub fn init_labels(
     p: usize,
 ) -> Result<(), PramError> {
     let (a, b) = buf.front();
-    dense_for(m, lr.n, p, &[a, b], move |ctx, v| {
-        ctx.put(0, v as Word);
-        ctx.put(1, v as Word);
+    par_for(m, lr.n, p, move |ctx, v| {
+        a.set(ctx, v, v as Word);
+        b.set(ctx, v, v as Word);
     })
 }
 
@@ -409,13 +357,13 @@ pub fn relabel_k_rounds(
         let width = ilog2_ceil(bound).max(1);
         let (src_a, src_b) = buf.front();
         let (dst_a, dst_b) = buf.back();
-        dense_for(m, lr.n, p, &[dst_a, dst_b], move |ctx, v| {
-            let own = ctx.get(src_a, v);
-            let suc = ctx.get(lr.next_cyc, v) as usize;
-            let nb = ctx.get(src_b, suc);
+        par_for(m, lr.n, p, move |ctx, v| {
+            let own = src_a.get(ctx, v);
+            let suc = lr.next_cyc.get(ctx, v) as usize;
+            let nb = src_b.get(ctx, suc);
             let new = crate::labels::f_ext(own, nb, width, variant);
-            ctx.put(0, new);
-            ctx.put(1, new);
+            dst_a.set(ctx, v, new);
+            dst_b.set(ctx, v, new);
         })?;
         buf.swap();
         bound = 2 * Word::from(width) + 1;
@@ -500,6 +448,59 @@ mod tests {
         // 2 sweeps of sum_{d} ceil(len/2^{d+1}/p): ≈ 2(len/p + log len)
         let budget = 2 * ((len / p) as u64 + 2 * (len.trailing_zeros() as u64));
         assert!(steps <= budget + 8, "steps={steps} budget={budget}");
+    }
+
+    #[test]
+    fn entry_point_accounting_is_pinned() {
+        use crate::match3::Match3Config;
+        use crate::CoinVariant::Msb;
+        use parmatch_pram::{ExecMode, Stats};
+
+        let list = random_list(700, 11);
+        let run = |mode: ExecMode| -> Vec<(&str, Stats)> {
+            vec![
+                ("match1", match1_pram(&list, 64, Msb, mode).unwrap().stats),
+                (
+                    "match2",
+                    match2_pram(&list, 64, 2, Msb, mode).unwrap().stats,
+                ),
+                (
+                    "match3",
+                    match3_pram(&list, 8, Match3Config::default(), mode)
+                        .unwrap()
+                        .stats,
+                ),
+                (
+                    "match4",
+                    match4_pram(&list, 2, None, Msb, mode).unwrap().stats,
+                ),
+                ("wyllie", wyllie_pram(&list, 64, mode).unwrap().stats),
+                ("rank", rank_pram(&list, 2, mode).unwrap().stats),
+                ("log_g", eval_log_g_pram(4096, 64, mode).unwrap().stats),
+            ]
+        };
+        // (steps, work, reads, writes) in checked mode.
+        let want: [(u64, u64, u64, u64); 7] = [
+            (319, 20416, 31590, 14045),
+            (127, 8128, 15031, 10969),
+            (68440, 547520, 563568, 546736),
+            (164, 10496, 26689, 14078),
+            (121, 7744, 28700, 15400),
+            (1388, 36224, 84881, 44549),
+            (195, 12480, 8218, 4106),
+        ];
+        for (mode, count_reads) in [(ExecMode::Checked, true), (ExecMode::Fast, false)] {
+            for ((name, got), &(steps, work, reads, writes)) in run(mode).into_iter().zip(&want) {
+                let reads = if count_reads { reads } else { 0 };
+                let want = Stats {
+                    steps,
+                    work,
+                    reads,
+                    writes,
+                };
+                assert_eq!(got, want, "{name} in {mode:?}");
+            }
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! introduction positions itself in.
 
 use super::match4::match4_on;
-use super::{dense_for, par_for, scan_exclusive, ListRegions, NIL_W};
+use super::{par_for, scan_exclusive, ListRegions, NIL_W};
 use crate::CoinVariant;
 use parmatch_list::{LinkedList, NodeId, NIL};
 use parmatch_pram::{ExecMode, Machine, Model, PramError, Region, Stats, Word};
@@ -77,9 +77,9 @@ pub fn rank_pram(list: &LinkedList, i: u32, mode: ExecMode) -> Result<RankPram, 
     {
         let (w, lrl) = (weights, lr);
         // weight 1 per real pointer; the tail's entry is unused
-        dense_for(&mut m, n, n, &[w], move |ctx, v| {
-            let nx = ctx.get(lrl.next, v);
-            ctx.put(0, u64::from(nx != NIL_W));
+        par_for(&mut m, n, n, move |ctx, v| {
+            let nx = lrl.next.get(ctx, v);
+            w.set(ctx, v, u64::from(nx != NIL_W));
         })?;
     }
 
@@ -100,9 +100,9 @@ pub fn rank_pram(list: &LinkedList, i: u32, mode: ExecMode) -> Result<RankPram, 
         let flags = m.alloc(pad); // zero padding beyond nl
         {
             let (fl, mk) = (flags, mask);
-            dense_for(&mut m, nl, p, &[fl], move |ctx, v| {
-                let rm = ctx.get(mk, v);
-                ctx.put(0, 1 - rm);
+            par_for(&mut m, nl, p, move |ctx, v| {
+                let rm = mk.get(ctx, v);
+                fl.set(ctx, v, 1 - rm);
             })?;
         }
         let kept_total = scan_exclusive(&mut m, flags, p)? as usize;
@@ -177,15 +177,15 @@ pub fn rank_pram(list: &LinkedList, i: u32, mode: ExecMode) -> Result<RankPram, 
         let dist = m.alloc(nl);
         let dist2 = m.alloc(nl);
         let (lrl, w) = (lr, weights);
-        dense_for(&mut m, nl, nl, &[nxt, dist], move |ctx, v| {
-            let x = ctx.get(lrl.next, v);
+        par_for(&mut m, nl, nl, move |ctx, v| {
+            let x = lrl.next.get(ctx, v);
             if x == NIL_W {
-                ctx.put(0, v as Word);
-                ctx.put(1, 0);
+                nxt.set(ctx, v, v as Word);
+                dist.set(ctx, v, 0);
             } else {
-                ctx.put(0, x);
-                let wv = ctx.get(w, v);
-                ctx.put(1, wv);
+                nxt.set(ctx, v, x);
+                let wv = w.get(ctx, v);
+                dist.set(ctx, v, wv);
             }
         })?;
         let rounds = if nl <= 1 {
@@ -196,13 +196,13 @@ pub fn rank_pram(list: &LinkedList, i: u32, mode: ExecMode) -> Result<RankPram, 
         let (mut cur, mut alt) = ((nxt, dist), (nxt2, dist2));
         for _ in 0..rounds {
             let ((sn, sd), (dn, dd)) = (cur, alt);
-            dense_for(&mut m, nl, nl, &[dn, dd], move |ctx, v| {
-                let t = ctx.get(sn, v) as usize;
-                let d = ctx.get(sd, v);
-                let dt = ctx.get(sd, t);
-                let tt = ctx.get(sn, t);
-                ctx.put(1, d + dt);
-                ctx.put(0, tt);
+            par_for(&mut m, nl, nl, move |ctx, v| {
+                let t = sn.get(ctx, v) as usize;
+                let d = sd.get(ctx, v);
+                let dt = sd.get(ctx, t);
+                let tt = sn.get(ctx, t);
+                dd.set(ctx, v, d + dt);
+                dn.set(ctx, v, tt);
             })?;
             std::mem::swap(&mut cur, &mut alt);
         }
@@ -217,11 +217,11 @@ pub fn rank_pram(list: &LinkedList, i: u32, mode: ExecMode) -> Result<RankPram, 
         let p = nl.div_ceil(16).max(1);
         {
             let (mk, nid, rl, rn) = (frame.mask, frame.newid, ranks_level, ranks_next);
-            dense_for(&mut m, nl, p, &[rl], move |ctx, v| {
-                if ctx.get(mk, v) == 0 {
-                    let me = ctx.get(nid, v) as usize;
-                    let r = ctx.get(rn, me);
-                    ctx.put(0, r);
+            par_for(&mut m, nl, p, move |ctx, v| {
+                if mk.get(ctx, v) == 0 {
+                    let me = nid.get(ctx, v) as usize;
+                    let r = rn.get(ctx, me);
+                    rl.set(ctx, v, r);
                 }
             })?;
         }

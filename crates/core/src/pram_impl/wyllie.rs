@@ -6,7 +6,7 @@
 //! `Θ(n log n)` work. Runs on CREW: once chains collapse many nodes
 //! read the tail's cells simultaneously.
 
-use super::{dense_for, load_list, NIL_W};
+use super::{load_list, par_for, NIL_W};
 use parmatch_list::LinkedList;
 use parmatch_pram::{ExecMode, Machine, Model, PramError, Stats, Word};
 
@@ -44,14 +44,14 @@ pub fn wyllie_pram(list: &LinkedList, p: usize, mode: ExecMode) -> Result<Wyllie
     let dist2 = m.alloc(n);
 
     // init sweep: tail self-loops with distance 0
-    dense_for(&mut m, n, p, &[nxt, dist], move |ctx, v| {
-        let w = ctx.get(lr.next, v);
+    par_for(&mut m, n, p, move |ctx, v| {
+        let w = lr.next.get(ctx, v);
         if w == NIL_W {
-            ctx.put(0, v as Word);
-            ctx.put(1, 0);
+            nxt.set(ctx, v, v as Word);
+            dist.set(ctx, v, 0);
         } else {
-            ctx.put(0, w);
-            ctx.put(1, 1);
+            nxt.set(ctx, v, w);
+            dist.set(ctx, v, 1);
         }
     })?;
 
@@ -63,13 +63,13 @@ pub fn wyllie_pram(list: &LinkedList, p: usize, mode: ExecMode) -> Result<Wyllie
     let (mut cur, mut alt) = ((nxt, dist), (nxt2, dist2));
     for _ in 0..rounds {
         let ((sn, sd), (dn, dd)) = (cur, alt);
-        dense_for(&mut m, n, p, &[dn, dd], move |ctx, v| {
-            let w = ctx.get(sn, v) as usize;
-            let d = ctx.get(sd, v);
-            let dw = ctx.get(sd, w);
-            let ww = ctx.get(sn, w);
-            ctx.put(1, d + dw);
-            ctx.put(0, ww);
+        par_for(&mut m, n, p, move |ctx, v| {
+            let w = sn.get(ctx, v) as usize;
+            let d = sd.get(ctx, v);
+            let dw = sd.get(ctx, w);
+            let ww = sn.get(ctx, w);
+            dd.set(ctx, v, d + dw);
+            dn.set(ctx, v, ww);
         })?;
         std::mem::swap(&mut cur, &mut alt);
     }

@@ -158,6 +158,7 @@ impl Workspace {
     /// `offsets[j] .. offsets[j+1]` and its successors are translated
     /// into that window, so the concatenation is a disjoint union of the
     /// jobs' cyclic orders (no pointer crosses a job boundary).
+    #[inline]
     pub(crate) fn prepare_batch_next_cyc(&mut self, lists: &[&LinkedList], offsets: &[usize]) {
         let total = *offsets.last().expect("offsets never empty");
         self.next_cyc.resize(total, NIL);

@@ -1,5 +1,5 @@
 //! Exhaustive small-instance sweep: every permutation layout of up to
-//! 7 nodes (5,912 lists) through the dense-step-ported PRAM matchers,
+//! 7 nodes (5,912 lists) through the PRAM matchers,
 //! asserting **bit-identity** with their rayon-native twins — not just
 //! maximality. The seed suite's exhaustive test stops at ≤ 6 nodes and
 //! only checks maximality; identity on every tiny instance is what

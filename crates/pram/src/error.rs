@@ -48,18 +48,6 @@ pub enum PramError {
         /// Processor that faulted.
         pid: usize,
     },
-    /// A [`dense_step`](crate::machine::Machine::dense_step) contract
-    /// violation: a processor read a cell inside one of the step's write
-    /// windows, or put a scope twice.
-    DenseViolation {
-        /// The offending address (for a double put, the scope's target
-        /// cell for that processor).
-        addr: usize,
-        /// Processor that violated the contract.
-        pid: usize,
-        /// Simulated step index at which the violation occurred.
-        step: u64,
-    },
 }
 
 impl std::fmt::Display for PramError {
@@ -93,10 +81,6 @@ impl std::fmt::Display for PramError {
             PramError::OutOfBounds { addr, size, pid } => write!(
                 f,
                 "processor {pid} addressed cell {addr} of a {size}-word memory"
-            ),
-            PramError::DenseViolation { addr, pid, step } => write!(
-                f,
-                "step {step}: processor {pid} violated the dense-step contract at cell {addr}"
             ),
         }
     }

@@ -7,10 +7,9 @@
 //! built explicitly or generated from a seed, and the same plan
 //! replays byte-for-byte: faults are applied only in the engine's
 //! *sequential* phases (the pid-ordered write resolution of
-//! [`crate::Machine::step`], the put-apply loop of
-//! [`crate::Machine::dense_step`], and the per-step stall-set
-//! computation), so the injected execution is independent of the rayon
-//! pool size, exactly like a fault-free run.
+//! [`crate::Machine::step`] and the per-step stall-set computation), so
+//! the injected execution is independent of the rayon pool size,
+//! exactly like a fault-free run.
 //!
 //! The supported fault classes model the classic transient-hardware
 //! menagerie:
@@ -23,11 +22,12 @@
 //! - [`FaultKind::Stall`] — a processor misses `steps` whole steps
 //!   (executes nothing, reads nothing, writes nothing).
 //!
-//! Injection is wired into the checked engine paths; fast-mode
-//! [`crate::Machine::dense_step`] writes in place from worker threads,
-//! so only [`FaultKind::Stall`] applies there (write-class sites are
-//! ignored — documented, deterministic). The legacy engine
-//! ([`crate::LegacyMachine`]) takes no faults at all: it is the oracle.
+//! Every class applies in both execution modes; only checked mode
+//! also rejects the model violations a fault causes (a duplicate write
+//! landing on another processor's cell is a same-step
+//! [`crate::PramError::WriteConflict`] on an exclusive-write model).
+//! The legacy engine ([`crate::LegacyMachine`]) takes no faults at all:
+//! it is the oracle.
 //!
 //! A plan reaches a machine either directly
 //! ([`crate::Machine::install_fault_plan`]) or — for code like the
@@ -114,10 +114,9 @@ impl FaultClass {
 /// (`step`, `pid`, `op`).
 ///
 /// `op` indexes the processor's surviving writes of that step — after
-/// per-pid dedup, in program order ([`crate::Machine::step`]) or put
-/// order ([`crate::Machine::dense_step`]). A site that addresses a
-/// write the program never makes simply never fires; the report says
-/// which sites fired.
+/// per-pid dedup, in program order ([`crate::Machine::step`]). A site
+/// that addresses a write the program never makes simply never fires;
+/// the report says which sites fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSite {
     /// Simulated step index ([`crate::Stats::steps`] at entry).

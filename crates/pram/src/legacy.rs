@@ -8,8 +8,8 @@
 //! Its *observable* semantics — memory images, step/work/read/write
 //! accounting, error selection — are the specification the new engine
 //! must match bit-for-bit; the differential property tests in
-//! `tests/engine_equivalence.rs` and the `pram_overhead` /
-//! `engine` benchmarks run the two side by side. Keeping it verbatim
+//! `tests/engine_equivalence.rs` and the `experiments -- engine`
+//! benchmark run the two side by side. Keeping it verbatim
 //! (including its rayon parallelism) makes the benchmark comparison
 //! apples-to-apples.
 //!

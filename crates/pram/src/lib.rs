@@ -23,13 +23,12 @@
 //! * [`Stats`] accounts steps, work (processor-steps), reads and writes.
 //!
 //! The engine behind [`Machine::step`] is epoch-stamped and
-//! allocation-recycling (see [`machine`] for internals), and
-//! [`Machine::dense_step`] offers a still faster path for the regular
-//! one-cell-per-processor write pattern that dominates the paper's
-//! algorithms (see [`dense`]). The original log-and-sort engine is
-//! preserved verbatim as [`legacy::LegacyMachine`] — it defines the
-//! observable semantics the new engine is property-tested against, and
-//! is the baseline of the engine benchmarks.
+//! allocation-recycling (see [`machine`] for internals); every simulated
+//! sweep runs through it, in both execution modes. The original
+//! log-and-sort engine is preserved verbatim as
+//! [`legacy::LegacyMachine`] — it defines the observable semantics the
+//! new engine is property-tested against, and is the baseline of the
+//! engine benchmarks.
 //!
 //! Determinism: for a fixed program the post-step memory image never
 //! depends on thread scheduling — write collisions are resolved by
@@ -66,7 +65,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dense;
 pub mod error;
 pub mod fault;
 pub mod legacy;
@@ -76,7 +74,6 @@ pub mod region;
 pub mod stats;
 pub mod trace;
 
-pub use dense::DenseCtx;
 pub use error::PramError;
 pub use fault::{FaultClass, FaultKind, FaultPlan, FaultReport, FaultSite, RunProbe};
 pub use legacy::{LegacyCtx, LegacyMachine};

@@ -28,10 +28,6 @@
 //! bit-identical to the original engine, while the conflict-free hot
 //! path never sorts or allocates. [`crate::legacy::LegacyMachine`]
 //! retains the original engine for differential tests and benchmarks.
-//!
-//! A third entry point, [`Machine::dense_step`] (see
-//! [`crate::dense`]), handles the dominant regular access pattern with
-//! structural legality instead of logging.
 
 use crate::error::PramError;
 use crate::fault::{FaultKind, FaultPlan, FaultReport, FaultState};
@@ -44,7 +40,7 @@ use std::collections::HashMap;
 
 /// Minimum processors per execution chunk; below `2 *` this a step runs
 /// sequentially. Matches the old engine's `with_min_len(256)` grain.
-pub(crate) const MIN_CHUNK: usize = 256;
+const MIN_CHUNK: usize = 256;
 
 /// Whether step barriers enforce the model's legality rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -66,16 +62,14 @@ pub enum ExecMode {
 pub(crate) struct ChunkScratch {
     /// `(addr, pid)` for every read — filled only on exclusive-read
     /// models in checked mode.
-    pub(crate) reads: Vec<(usize, u32)>,
+    reads: Vec<(usize, u32)>,
     /// `(addr, pid, val)` per surviving write, deduplicated within each
     /// pid (last write to a cell wins), in pid order.
-    pub(crate) writes: Vec<(usize, u32, Word)>,
+    writes: Vec<(usize, u32, Word)>,
     /// Lowest-pid fault raised in this chunk, if any.
-    pub(crate) fault: Option<PramError>,
+    fault: Option<PramError>,
     /// Total read calls (pre-dedup), for [`Stats::reads`].
-    pub(crate) read_count: u64,
-    /// Total put calls in a dense step, for [`Stats::writes`].
-    pub(crate) put_count: u64,
+    read_count: u64,
     // Per-pid write dedup scratch (large-tail path): addr -> (generation,
     // index into `dedup_tmp`). Generations avoid clearing the map.
     dedup_map: HashMap<usize, (u64, usize)>,
@@ -84,12 +78,11 @@ pub(crate) struct ChunkScratch {
 }
 
 impl ChunkScratch {
-    pub(crate) fn reset(&mut self) {
+    fn reset(&mut self) {
         self.reads.clear();
         self.writes.clear();
         self.fault = None;
         self.read_count = 0;
-        self.put_count = 0;
     }
 }
 
@@ -420,7 +413,7 @@ impl Machine {
 
     /// How many execution chunks a `p`-processor step uses, and make
     /// sure `scratch[..n]` exists and is reset.
-    pub(crate) fn plan_chunks(&mut self, p: usize) -> usize {
+    fn plan_chunks(&mut self, p: usize) -> usize {
         let threads = rayon::current_num_threads();
         let n = if threads <= 1 || p < 2 * MIN_CHUNK {
             1
@@ -438,7 +431,7 @@ impl Machine {
 
     /// Advance the step epoch and make sure the stamp arrays cover
     /// memory. Returns `(read_epoch, write_epoch)`.
-    pub(crate) fn next_epochs(&mut self) -> (u64, u64) {
+    fn next_epochs(&mut self) -> (u64, u64) {
         self.epoch += 2;
         if self.stamp_epoch.len() < self.mem.len() {
             self.stamp_epoch.resize(self.mem.len(), 0);
@@ -626,17 +619,6 @@ impl Machine {
         }
         Ok(())
     }
-
-    /// Run `rounds` identical steps (a common pattern for jumping loops).
-    pub fn steps<F>(&mut self, rounds: usize, p: usize, f: F) -> Result<(), PramError>
-    where
-        F: Fn(&mut ProcCtx<'_>) + Sync,
-    {
-        for _ in 0..rounds {
-            self.step(p, &f)?;
-        }
-        Ok(())
-    }
 }
 
 /// Run pids `[lo, hi)` over `chunks`, splitting recursively so each
@@ -692,43 +674,11 @@ fn run_chunks<F>(
     );
 }
 
-/// Mode-specific internals of a [`crate::dense::DenseCtx`]. Lives here
-/// so the dense path can reuse the machine's recycled chunk scratches.
-pub(crate) enum DenseCtxInner<'a> {
-    /// Checked mode: reads resolve against the whole (pre-step, not yet
-    /// mutated) memory image; puts are buffered.
-    Checked {
-        mem: &'a [Word],
-        /// Sorted, disjoint global write windows, for read legality.
-        windows: &'a [(usize, usize)],
-        /// `(base, window length)` per scope in scope order, for put
-        /// targets and put-range checks.
-        scope_wins: &'a [(usize, usize)],
-        count_reads: bool,
-        log_read_addrs: bool,
-        reads: &'a mut Vec<(usize, u32)>,
-        /// Buffered `(scope, pid, val)` puts (reuses the write scratch).
-        puts: &'a mut Vec<(usize, u32, Word)>,
-        read_count: &'a mut u64,
-    },
-    /// Fast mode: memory is partitioned into shared gap slices and this
-    /// chunk's exclusive per-scope window sub-slices (as `Cell`s so one
-    /// shared borrow suffices); puts land in place.
-    Fast {
-        /// `(global start, slice)` per gap, ascending, tiling memory
-        /// together with the windows.
-        gaps: &'a [(usize, &'a [Word])],
-        windows: &'a [(usize, usize)],
-        wins: &'a [&'a [std::cell::Cell<Word>]],
-        put_count: &'a mut u64,
-    },
-}
-
 /// Recompute the read-conflict error exactly as the original engine
 /// selected it: per-pid dedup, global sort by `(addr, pid)`, first
 /// adjacent collision. Called only after the stamp pass has proven a
 /// conflict exists, so cost is irrelevant.
-pub(crate) fn canonical_read_error(chunks: &[ChunkScratch], model: Model, step: u64) -> PramError {
+fn canonical_read_error(chunks: &[ChunkScratch], model: Model, step: u64) -> PramError {
     let mut reads: Vec<(usize, u32)> = chunks
         .iter()
         .flat_map(|s| s.reads.iter().copied())
@@ -1258,17 +1208,5 @@ mod tests {
         assert_eq!(tr.len(), 1);
         assert_eq!(tr.steps()[0].faults, 1);
         assert!(fault::take_probes().is_empty());
-    }
-
-    #[test]
-    fn steps_helper_runs_rounds() {
-        let mut m = Machine::new(Model::Erew, 1);
-        m.steps(5, 1, |ctx| {
-            let v = ctx.read(0);
-            ctx.write(0, v + 1);
-        })
-        .unwrap();
-        assert_eq!(m.peek(0), 5);
-        assert_eq!(m.stats().steps, 5);
     }
 }

@@ -183,45 +183,4 @@ proptest! {
         prop_assert_eq!(&on_pool(2), &base);
         prop_assert_eq!(&on_pool(5), &base);
     }
-
-    /// Contract-abiding dense steps observe exactly like the same
-    /// program through the legacy engine's general path.
-    #[test]
-    fn dense_step_matches_legacy(seed in any::<u64>(), n in 1usize..300) {
-        let mut st = seed;
-        let data: Vec<Word> = (0..n).map(|_| mix(&mut st)).collect();
-        let rounds = 4usize;
-        for mode in [ExecMode::Checked, ExecMode::Fast] {
-            let mut m = match mode {
-                ExecMode::Checked => Machine::new(Model::Crew, 2 * n),
-                ExecMode::Fast => Machine::new_fast(Model::Crew, 2 * n),
-            };
-            let mut l = match mode {
-                ExecMode::Checked => LegacyMachine::new(Model::Crew, 2 * n),
-                ExecMode::Fast => LegacyMachine::new_fast(Model::Crew, 2 * n),
-            };
-            for (i, &v) in data.iter().enumerate() {
-                m.poke(i, v);
-                l.poke(i, v);
-            }
-            let out = parmatch_pram::Region::new(n, n);
-            for r in 0..rounds {
-                // read a rotated source cell, write own output cell
-                let rot = (mix(&mut st) as usize) % n;
-                m.dense_step(n, &[out], |ctx| {
-                    let v = ctx.read((ctx.pid() + rot) % n);
-                    ctx.put(0, v.wrapping_mul(2).wrapping_add(r as Word));
-                }).unwrap();
-                l.step(n, |ctx| {
-                    let v = ctx.read((ctx.pid() + rot) % n);
-                    ctx.write(n + ctx.pid(), v.wrapping_mul(2).wrapping_add(r as Word));
-                }).unwrap();
-            }
-            prop_assert_eq!(m.memory(), l.memory(), "mode {:?}", mode);
-            prop_assert_eq!(m.stats().steps, l.stats().steps);
-            prop_assert_eq!(m.stats().work, l.stats().work);
-            prop_assert_eq!(m.stats().reads, l.stats().reads);
-            prop_assert_eq!(m.stats().writes, l.stats().writes);
-        }
-    }
 }

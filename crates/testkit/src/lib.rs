@@ -462,35 +462,26 @@ mod tests {
 
     #[test]
     fn engine_detected_fault_recovers_by_retry() {
-        // A duplicate-write on the *general* (non-dense) EREW step path
-        // is a planted write conflict the engine must reject. Which
-        // steps take that path is an implementation detail of the
-        // matcher, so scan deterministically until one detects — then
-        // the pruned retry must verify.
+        // A duplicate write lands on the neighbouring cell, which
+        // another processor writes in the same step: every matcher's
+        // first sweep gives each pid its own cell, so the engine must
+        // reject step 0 as a write conflict — then the pruned retry
+        // must verify.
         let list = random_list(64, 7);
-        let clean = run_matcher(MatcherKind::Match2, &list).unwrap();
-        let mut seen_detection = false;
-        for step in 0..clean.steps {
-            let plan = FaultPlan::new(vec![FaultSite {
-                step,
-                pid: 0,
-                op: 0,
-                kind: FaultKind::DuplicateWrite { offset: 1 },
-            }]);
-            let run = run_verified(MatcherKind::Match2, &list, &plan, 2);
-            assert!(run.verified, "step {step}: {:?}", run.error);
-            if run.detected_by_engine {
-                assert!(run.recovered, "step {step}: {run:?}");
-                assert_eq!(run.attempts, 2, "step {step}");
-                assert_eq!(run.fired, vec![0]);
-                seen_detection = true;
-                break;
-            }
+        let plan = FaultPlan::new(vec![FaultSite {
+            step: 0,
+            pid: 0,
+            op: 0,
+            kind: FaultKind::DuplicateWrite { offset: 1 },
+        }]);
+        for kind in MatcherKind::ALL {
+            let run = run_verified(kind, &list, &plan, 2);
+            assert!(run.verified, "{}: {:?}", kind.name(), run.error);
+            assert!(run.detected_by_engine, "{}: {run:?}", kind.name());
+            assert!(run.recovered, "{}: {run:?}", kind.name());
+            assert_eq!(run.attempts, 2, "{}", kind.name());
+            assert_eq!(run.fired, vec![0], "{}", kind.name());
         }
-        assert!(
-            seen_detection,
-            "no step of Match2 let the EREW detector catch a duplicate write"
-        );
     }
 
     #[test]

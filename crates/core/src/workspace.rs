@@ -83,15 +83,15 @@ pub struct Workspace {
     pub(crate) set_starts: Vec<usize>,
     /// Walkdown color array.
     pub(crate) colors: Vec<AtomicU8>,
-    /// WalkDown2 per-column `(index, count)` pipeline state.
-    pub(crate) walk_state: Vec<(usize, Word)>,
-    /// Raw per-tail set array (Match4 partition, then its color classes).
+    /// WalkDown2 per-column `(index, count)` pipeline state, one byte
+    /// each (`x ≤ 255`).
+    pub(crate) walk_state: Vec<(u8, u8)>,
+    /// Raw per-tail set array: Match4's color classes for the greedy
+    /// sweep (the grid is keyed straight from the byte labels).
     pub(crate) sets: Vec<Word>,
-    /// Grid build scratch: `(sort key, node)` pairs in column order.
-    pub(crate) grid_pairs: Vec<(Word, NodeId)>,
-    /// Grid build scratch: row-of scatter target.
-    pub(crate) row_scatter: Vec<AtomicU32>,
-    /// Storage loaned to [`crate::walkdown::Grid`] and taken back.
+    /// Storage loaned to [`crate::walkdown::Grid`] and taken back: the
+    /// tiled slots and keys, and the byte `row_of` array that each
+    /// column's counting sort writes into its own node window.
     pub(crate) grid_store: GridStorage,
     /// Cached Match3 lookup table, keyed by its build parameters.
     pub(crate) table_cache: Option<((u32, u32, CoinVariant, u32), TupleTable)>,
@@ -203,8 +203,6 @@ impl Workspace {
         self.colors.clear();
         self.walk_state.clear();
         self.sets.clear();
-        self.grid_pairs.clear();
-        self.row_scatter.clear();
     }
 
     /// Reset the walkdown colors to [`UNCOLORED`].

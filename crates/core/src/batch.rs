@@ -8,7 +8,10 @@
 //! out at an offset, the cyclic-successor array maps each job's tail
 //! back to *its own* head, and one `relabel_rounds` sweep relabels
 //! the whole concatenation. The finisher then runs per job on its label
-//! slice.
+//! slice, in one parallel pass over jobs: a list-order cut traversal
+//! (no pred inversion) and a chain of sublist walks from the job's head,
+//! through the step-3 test and the step-4 walker that solo runs use
+//! (`finish::is_cut`, `finish::walk_sublist`).
 //!
 //! **Bit identity.** A job's first round reads its *local* addresses
 //! (`v − off` for node `v` at offset `off`), its successors never leave
@@ -21,6 +24,7 @@
 //! 4.) The `fused_batch_matches_solo_runs` test pins the identity
 //! against per-job [`Runner`](crate::runner::Runner) runs.
 
+use crate::finish::{is_cut, walk_sublist};
 use crate::labels::{convergence_rounds, relabel_rounds};
 use crate::match1::Match1Output;
 use crate::matching::Matching;
@@ -153,124 +157,63 @@ pub fn match1_batch_in(
     }
 
     // Batched finish: one parallel pass whose items are whole *jobs*,
-    // not nodes. Each job finishes with a single sequential traversal in
-    // list order: the previous node's label *is* the predecessor label
-    // the local-minima test needs, so the cut decision, the sublist-walk
-    // marks (even offsets, resetting after each cut), and the
-    // matched-node bits all fall out of one pointer chase — no pred
-    // inversion, no separate cut/walk/scatter passes. Every per-node
-    // decision reads exactly the inputs the per-job
-    // [`from_labels_core`](crate::finish) passes would (walk marks are
-    // node-disjoint, and a cut node never receives one), so the marks —
-    // and the matching — are bit-identical to a solo run, while a batch
-    // of B small jobs costs a handful of parallel dispatches instead of
-    // B × (passes per job).
+    // not nodes, each finished by `finish_job` on its own label and cut
+    // windows. A batch of B small jobs costs one parallel dispatch
+    // instead of B × (passes per job).
     let total = plan.total_nodes();
     let rounds = plan.key.rounds;
-    let Workspace {
-        labels_a,
-        cut,
-        matched,
-        ..
-    } = &mut *ws;
+    let Workspace { labels_a, cut, .. } = &mut *ws;
     cut.resize(total, false);
-    matched.resize_with(total, || std::sync::atomic::AtomicBool::new(false));
-    let labels: &[u8] = labels_a;
-
-    struct JobWindow<'a> {
-        list: &'a LinkedList,
-        labels: &'a [u8],
-        cut: &'a mut [bool],
-        matched: &'a mut [std::sync::atomic::AtomicBool],
+    let mut jobs = Vec::with_capacity(lists.len());
+    let mut rest = &mut cut[..total];
+    for (j, &list) in lists.iter().enumerate() {
+        let (off, end) = (plan.offsets[j], plan.offsets[j + 1]);
+        assert_eq!(end - off, list.len(), "plan/list size mismatch at {j}");
+        let (window, tail) = rest.split_at_mut(end - off);
+        rest = tail;
+        jobs.push((list, &labels_a[off..end], window));
     }
-
-    let mut windows = Vec::with_capacity(lists.len());
-    {
-        let (mut cr, mut dr) = (&mut cut[..total], &mut matched[..total]);
-        for (j, list) in lists.iter().enumerate() {
-            let (off, end) = (plan.offsets[j], plan.offsets[j + 1]);
-            assert_eq!(end - off, list.len(), "plan/list size mismatch at {j}");
-            let n = end - off;
-            let (c, ct) = cr.split_at_mut(n);
-            let (d, dt) = dr.split_at_mut(n);
-            (cr, dr) = (ct, dt);
-            windows.push(JobWindow {
-                list,
-                labels: &labels[off..end],
-                cut: c,
-                matched: d,
-            });
-        }
-    }
-    windows
-        .into_par_iter()
-        .map(|w| {
-            let JobWindow {
-                list,
-                labels,
-                cut,
-                matched,
-            } = w;
-            let n = list.len();
-            let next: &[NodeId] = list.next_array();
-            for a in matched.iter_mut() {
-                *a.get_mut() = false;
-            }
-            let mut final_mask = vec![false; n];
-            // The fused cut + walk traversal. `offset` is the position
-            // within the current sublist; a cut node ends its sublist
-            // unmarked and the next node starts a fresh one.
-            let mut prev_label: Option<u8> = None;
-            let mut offset = 0usize;
-            let mut v = list.head() as usize;
-            loop {
-                let lv = labels[v];
-                let w = next[v];
-                let c = if w == NIL {
-                    false
-                } else {
-                    let left_higher = match prev_label {
-                        None => true,
-                        Some(pl) => pl > lv,
-                    };
-                    left_higher && labels[w as usize] > lv
-                };
-                cut[v] = c;
-                if c {
-                    offset = 0;
-                } else if w != NIL {
-                    if offset.is_multiple_of(2) {
-                        final_mask[v] = true;
-                        *matched[v].get_mut() = true;
-                        *matched[w as usize].get_mut() = true;
-                    }
-                    offset += 1;
-                }
-                if w == NIL {
-                    break;
-                }
-                prev_label = Some(lv);
-                v = w as usize;
-            }
-            // Fix-up: re-add a deleted pointer both of whose endpoints
-            // stayed free (cut nodes carry no walk mark, so this only
-            // ever turns marks on).
-            for v in 0..n {
-                if cut[v]
-                    && next[v] != NIL
-                    && !*matched[v].get_mut()
-                    && !*matched[next[v] as usize].get_mut()
-                {
-                    final_mask[v] = true;
-                }
-            }
-            Match1Output {
-                matching: Matching::from_mask_unchecked(list, final_mask),
-                rounds,
-                final_bound: cascade_bound(n as Word, rounds),
-            }
+    jobs.into_par_iter()
+        .map(|(list, labels, cut)| Match1Output {
+            matching: finish_job(list, labels, cut),
+            rounds,
+            final_bound: cascade_bound(list.len() as Word, rounds),
         })
         .collect()
+}
+
+/// Match1 steps 3–4 for one fused job, on its own label and cut windows
+/// (`labels`, `cut` indexed by the job's local node ids). Step 3 is one
+/// traversal in list order: the previous node's label *is* the
+/// predecessor label [`is_cut`] needs, so there is no pred inversion.
+/// Step 4 then chains [`walk_sublist`] from the head, each walk
+/// returning the next sublist's first node. The test and the walker are
+/// the ones `from_labels_core` runs, so the matching is bit-identical to
+/// a solo run.
+pub(crate) fn finish_job(list: &LinkedList, labels: &[u8], cut: &mut [bool]) -> Matching {
+    let next = list.next_array();
+    let mut prev = None;
+    let mut v = list.head();
+    loop {
+        let lv = labels[v as usize];
+        match next[v as usize] {
+            NIL => {
+                cut[v as usize] = false;
+                break;
+            }
+            w => {
+                cut[v as usize] = is_cut(prev, lv, labels[w as usize]);
+                prev = Some(lv);
+                v = w;
+            }
+        }
+    }
+    let mut mask = vec![false; list.len()];
+    let mut h = list.head();
+    while h != NIL {
+        h = walk_sublist(next, cut, h, |v| mask[v as usize] = true);
+    }
+    Matching::from_mask_unchecked(list, mask)
 }
 
 #[cfg(test)]

@@ -71,13 +71,13 @@ pub fn work_efficiency(n: u64, p: u64, steps: u64) -> f64 {
 
 /// Exact work units of the native Match1 pipeline on an `n`-node
 /// list: `n` per relabel round (the round count is the data-independent
-/// [`cascade_rounds`]) plus the finisher's four passes. Zero for lists
-/// without pointers.
+/// [`cascade_rounds`]) plus the finisher's two passes (cut and walk,
+/// re-adds included). Zero for lists without pointers.
 pub fn match1_native_work(n: u64) -> u64 {
     if n < 2 {
         return 0;
     }
-    n * u64::from(cascade_rounds(n)) + 4 * n
+    n * u64::from(cascade_rounds(n)) + 2 * n
 }
 
 /// Exact work units of the native Match2 pipeline with `rounds`
@@ -94,12 +94,12 @@ pub fn match2_native_work(n: u64, rounds: u32) -> u64 {
 
 /// Exact work units of the native Match3 pipeline: `n` per crunch
 /// round, two passes per pointer-jump round (concatenate + jump), one
-/// probe pass, the finisher's four passes.
+/// probe pass, the finisher's two passes (cut and walk).
 pub fn match3_native_work(n: u64, crunch_rounds: u32, jump_rounds: u32) -> u64 {
     if n < 2 {
         return 0;
     }
-    n * (u64::from(crunch_rounds) + 2 * u64::from(jump_rounds) + 5)
+    n * (u64::from(crunch_rounds) + 2 * u64::from(jump_rounds) + 3)
 }
 
 /// Exact work units of the native Match4 pipeline with `i`

@@ -8,12 +8,17 @@
 //!   which cuts the list into constant-length sublists (each sublist's
 //!   label sequence has no interior local minimum, so its length is
 //!   bounded by twice the label range); then walk down each sublist
-//!   adding every other pointer (step 4). A last parallel pass re-adds
-//!   any deleted pointer both of whose endpoints stayed free — deleted
-//!   pointers are pairwise non-adjacent (two adjacent local minima are
-//!   impossible), so the pass is conflict-free; this closes the
-//!   maximality gap at sublist boundaries that the paper's prose leaves
-//!   implicit.
+//!   adding every other pointer (step 4). A deleted pointer both of
+//!   whose endpoints stayed free is then re-added — deleted pointers are
+//!   pairwise non-adjacent (two adjacent local minima are impossible),
+//!   so the re-adds never conflict; this closes the maximality gap at
+//!   sublist boundaries that the paper's prose leaves implicit. The
+//!   oracle [`from_labels`] re-adds in a separate parallel pass. The
+//!   production body decides each re-add inside the sublist walk that
+//!   ends at the deleted pointer (`walk_sublist`), and both production
+//!   drivers — `from_labels_core` for Match1 and Match3, and the fused
+//!   batch's per-job finisher — share that walker and the step-3 test
+//!   `is_cut`.
 //! * **the greedy set sweep of Match2 step 3** ([`greedy_by_sets`]):
 //!   given any matching partition, process the sets one at a time; within
 //!   a set, add every pointer whose endpoints are both free — legal in
@@ -101,33 +106,82 @@ pub fn from_labels(list: &LinkedList, labels: &[Word]) -> Matching {
     Matching::from_mask(list, mask)
 }
 
-/// Match1 steps 3–4 as the production pipeline runs them: the labels
-/// are the relabel kernel's bytes, all per-node state lives in
-/// caller-provided (workspace) buffers, the predecessor array is taken
-/// precomputed, and sublists are walked directly from their locally
-/// detectable heads (`h` starts a sublist iff `pred[h]` is [`NIL`] or
-/// cut) instead of materializing a sorted head list. Every mark sits on
-/// a real pointer by construction, so the matching is built without a
-/// second validation pass. Marks — and therefore the matching — are
-/// bit-identical to [`from_labels`].
+/// Match1 step 3's local-minimum test on byte labels: is `v` a strict
+/// local minimum, given its predecessor's label (`None` when `v` has no
+/// predecessor, read as `+∞`), its own label and its successor's?
+/// Callers ask only about nodes with a successor: the tail has no
+/// pointer to delete.
+#[inline]
+pub(crate) fn is_cut(prev_label: Option<u8>, label_v: u8, label_suc: u8) -> bool {
+    prev_label.is_none_or(|p| p > label_v) && label_suc > label_v
+}
+
+/// Match1 step 4 for one sublist: walk from its first node `h` and call
+/// `mark(v)` for every pointer `<v, suc v>` at an even offset, up to the
+/// tail or the closing cut node `v`. There the walker also decides the
+/// re-add: `<v, suc v>` joins the matching iff the walk ended on an even
+/// offset (so `v` stayed free) and `suc v` is the tail. A cut never
+/// follows a cut when adjacent labels are distinct, so any other
+/// `suc v` starts a sublist whose first pointer is marked.
+///
+/// Returns the next sublist's first node (`suc v`), or [`NIL`] when the
+/// walk reached the tail.
+#[inline]
+pub(crate) fn walk_sublist(
+    next: &[NodeId],
+    cut: &[bool],
+    h: NodeId,
+    mut mark: impl FnMut(NodeId),
+) -> NodeId {
+    let mut v = h;
+    let mut even = true;
+    loop {
+        let w = next[v as usize];
+        if w == NIL {
+            return NIL;
+        }
+        if cut[v as usize] {
+            if even && next[w as usize] == NIL {
+                mark(v);
+            }
+            return w;
+        }
+        if even {
+            mark(v);
+        }
+        even = !even;
+        v = w;
+    }
+}
+
+/// Match1 steps 3–4 as the production pipeline runs them, for Match1
+/// and Match3: the labels are the relabel kernel's bytes, the
+/// predecessor array is taken precomputed, and the cut mask lives in a
+/// caller-provided (workspace) buffer. Two passes: the chunked
+/// [`is_cut`] pass, then one [`walk_sublist`] from every locally
+/// detectable head (`h` starts a sublist iff `pred[h]` is [`NIL`] or
+/// cut). The walker decides the re-adds itself, so its marks land
+/// straight in the output mask, which becomes the matching in place.
+/// Each pointer belongs to one sublist, so every mark has one writer,
+/// and every mark sits on a real pointer by construction. The matching
+/// is bit-identical to [`from_labels`], whose separate re-add pass is
+/// the oracle for the walker's.
 ///
 /// Once the matching is built, the `finish` span is opened and closed
 /// for every observer. An auditing observer (`O::ENABLED`) also gets a
-/// sequential replay of the sublist structure left in the buffers (cut
-/// mask, walk marks): cut pointers, sublist count, nodes walked (every
-/// node lies in exactly one sublist, so this totals `n`), walk marks vs.
-/// fix-up additions, and the longest sublist audited against the
-/// paper's `2·bound − 1` (a sublist has no interior local minimum, so
-/// its labels ascend then descend — at most `bound` nodes each way,
-/// sharing the peak).
-#[allow(clippy::too_many_arguments)]
+/// sequential replay of the sublist structure left in the cut mask:
+/// cut pointers, sublist count, nodes walked (every node lies in
+/// exactly one sublist, so this totals `n`), walk marks vs. re-adds
+/// (`fixup_additions`: the walker marks a cut node only as a re-add, so
+/// these are the matched cut pointers), and the longest
+/// sublist audited against the paper's `2·bound − 1` (a sublist has no
+/// interior local minimum, so its labels ascend then descend — at most
+/// `bound` nodes each way, sharing the peak).
 pub(crate) fn from_labels_core<O: Observer>(
     list: &LinkedList,
     labels: &[u8],
     pred: &[NodeId],
     cut: &mut Vec<bool>,
-    mask: &mut Vec<AtomicBool>,
-    matched: &mut Vec<AtomicBool>,
     bound: Word,
     obs: &mut O,
 ) -> Matching {
@@ -137,6 +191,7 @@ pub(crate) fn from_labels_core<O: Observer>(
     }
     assert_eq!(labels.len(), n, "label array length mismatch");
     assert_eq!(pred.len(), n, "pred array length mismatch");
+    let next = list.next_array();
 
     // Step 3: the local-minima cut, chunked over nodes.
     cut.resize(n, false);
@@ -145,85 +200,42 @@ pub(crate) fn from_labels_core<O: Observer>(
         .for_each(|(ci, chunk)| {
             let base = ci * CHUNK;
             for (i, slot) in chunk.iter_mut().enumerate() {
-                let v = (base + i) as NodeId;
-                *slot = if list.next_raw(v) == NIL {
-                    false
-                } else {
-                    let lv = labels[v as usize];
-                    let left_higher = match pred[v as usize] {
-                        NIL => true,
-                        u => labels[u as usize] > lv,
-                    };
-                    left_higher && labels[list.next_raw(v) as usize] > lv
+                let v = base + i;
+                *slot = match next[v] {
+                    NIL => false,
+                    w => {
+                        let prev = match pred[v] {
+                            NIL => None,
+                            u => Some(labels[u as usize]),
+                        };
+                        is_cut(prev, labels[v], labels[w as usize])
+                    }
                 };
             }
         });
 
-    reset_bools(mask, n);
-    reset_bools(matched, n);
-
-    // Step 4: walk each sublist, taking even offsets. `h` heads a
-    // sublist iff nothing walks into it: its predecessor is missing or
-    // cut — the same head set `walk_sublists` derives globally.
-    let cut_ref: &[bool] = cut;
-    let mask_ref: &[AtomicBool] = mask;
+    // Step 4: walk each sublist from its head, re-adds included.
+    let cut: &[bool] = cut;
+    let mask: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
     (0..n as NodeId)
         .into_par_iter()
         .with_min_len(CHUNK)
         .for_each(|h| {
             let starts = match pred[h as usize] {
                 NIL => true,
-                u => cut_ref[u as usize],
+                u => cut[u as usize],
             };
-            if !starts {
-                return;
-            }
-            let mut v = h;
-            let mut offset = 0usize;
-            loop {
-                if cut_ref[v as usize] {
-                    break;
-                }
-                match list.next_raw(v) {
-                    NIL => break,
-                    w => {
-                        if offset.is_multiple_of(2) {
-                            mask_ref[v as usize].store(true, Ordering::Relaxed);
-                        }
-                        offset += 1;
-                        v = w;
-                    }
-                }
+            if starts {
+                walk_sublist(next, cut, h, |v| {
+                    mask[v as usize].store(true, Ordering::Relaxed)
+                });
             }
         });
-
-    // Fix-up: matched-node scatter (matching pointers are node-disjoint,
-    // so every store has a unique writer), then the re-add pass.
-    let matched_ref: &[AtomicBool] = matched;
-    (0..n as NodeId)
-        .into_par_iter()
-        .with_min_len(CHUNK)
-        .for_each(|v| {
-            if mask_ref[v as usize].load(Ordering::Relaxed) {
-                matched_ref[v as usize].store(true, Ordering::Relaxed);
-                matched_ref[list.next_raw(v) as usize].store(true, Ordering::Relaxed);
-            }
-        });
-    let final_mask: Vec<bool> = (0..n)
-        .into_par_iter()
-        .with_min_len(CHUNK)
-        .map(|v| {
-            mask_ref[v].load(Ordering::Relaxed)
-                || (cut_ref[v]
-                    && list.next_raw(v as NodeId) != NIL
-                    && !matched_ref[v].load(Ordering::Relaxed)
-                    && !matched_ref[list.next_raw(v as NodeId) as usize].load(Ordering::Relaxed))
-        })
-        .collect();
-    let m = Matching::from_mask_unchecked(list, final_mask);
+    let mask: Vec<bool> = mask.into_iter().map(AtomicBool::into_inner).collect();
+    let m = Matching::from_mask_unchecked(list, mask);
     obs.enter("finish");
     if O::ENABLED {
-        audit_sublists(list, pred, cut, mask, &m, bound, obs);
+        audit_sublists(list, pred, cut, &m, bound, obs);
     }
     obs.exit();
     m
@@ -235,13 +247,14 @@ fn audit_sublists<O: Observer>(
     list: &LinkedList,
     pred: &[NodeId],
     cut: &[bool],
-    mask: &[AtomicBool],
     m: &Matching,
     bound: Word,
     obs: &mut O,
 ) {
     let cut_pointers = cut.iter().filter(|&&c| c).count() as u64;
-    let walk_marks = mask.iter().filter(|a| a.load(Ordering::Relaxed)).count() as u64;
+    let readds = (0..list.len() as NodeId)
+        .filter(|&v| cut[v as usize] && m.contains_tail(v))
+        .count() as u64;
     let mut sublists = 0u64;
     let mut walk_nodes = 0u64;
     let mut max_sublist = 0u64;
@@ -275,8 +288,8 @@ fn audit_sublists<O: Observer>(
     obs.counter("sublists", sublists);
     obs.counter("walk_nodes", walk_nodes);
     obs.bounded("max_sublist_nodes", max_sublist, 2 * bound - 1);
-    obs.counter("walk_marks", walk_marks);
-    obs.counter("fixup_additions", m.len() as u64 - walk_marks);
+    obs.counter("walk_marks", m.len() as u64 - readds);
+    obs.counter("fixup_additions", readds);
     obs.counter("matched", m.len() as u64);
 }
 
@@ -501,6 +514,56 @@ mod tests {
         let m = from_labels(&list, &[0, 1]);
         verify::assert_maximal_matching(&list, &m);
         assert_eq!(m.len(), 1);
+    }
+
+    /// Every adjacent-distinct label sequence over `{0, 1, 2, 3}` for
+    /// `n = 2..=9`, laid out sequentially and reversed, through both
+    /// production drivers — `from_labels_core` and the fused batch's
+    /// per-job body — against the oracle, bit for bit. Small alphabets
+    /// give short sublists, so the walker's tail re-add (a sublist that
+    /// leaves its cut node free right before a one-node tail sublist)
+    /// occurs many times over, which random lists barely exercise.
+    #[test]
+    fn walker_drivers_match_oracle_exhaustively() {
+        use crate::batch::finish_job;
+        use crate::obs::Recorder;
+        let mut readds = 0u64;
+        for n in 2..=9usize {
+            for list in [sequential_list(n), reversed_list(n)] {
+                let order = list.order();
+                let pred = list.pred_array();
+                let mut seq = vec![0u8; n];
+                'sequences: loop {
+                    if seq.windows(2).all(|w| w[0] != w[1]) {
+                        let mut labels = vec![0u8; n];
+                        for (&v, &l) in order.iter().zip(&seq) {
+                            labels[v as usize] = l;
+                        }
+                        let wide: Vec<Word> = labels.iter().map(|&l| Word::from(l)).collect();
+                        let oracle = from_labels(&list, &wide);
+                        let mut rec = Recorder::new();
+                        let solo =
+                            from_labels_core(&list, &labels, &pred, &mut vec![], 4, &mut rec);
+                        let rec = rec.finish();
+                        assert!(rec.all_bounds_hold(), "{seq:?}");
+                        readds += rec.find("fixup_additions").unwrap_or(0);
+                        let batch = finish_job(&list, &labels, &mut vec![true; n]);
+                        assert_eq!(solo, oracle, "solo driver, labels {seq:?}");
+                        assert_eq!(batch, oracle, "batch driver, labels {seq:?}");
+                    }
+                    // Next sequence in odometer order over {0, 1, 2, 3}.
+                    for l in seq.iter_mut() {
+                        *l += 1;
+                        if *l < 4 {
+                            continue 'sequences;
+                        }
+                        *l = 0;
+                    }
+                    break;
+                }
+            }
+        }
+        assert!(readds > 1000, "tail re-adds exercised {readds} times");
     }
 
     #[test]

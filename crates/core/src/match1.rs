@@ -61,8 +61,6 @@ pub(crate) fn run<O: Observer>(
         labels_a,
         labels_b,
         cut,
-        mask,
-        matched,
         ..
     } = ws;
     let next_cyc: &[NodeId] = next_cyc;
@@ -84,12 +82,12 @@ pub(crate) fn run<O: Observer>(
     if O::ENABLED {
         obs.bounded("rounds", u64::from(rounds), u64::from(g) + 2);
     }
-    let matching = from_labels_core(list, labels_a, pred, cut, mask, matched, bound, obs);
+    let matching = from_labels_core(list, labels_a, pred, cut, bound, obs);
     if O::ENABLED {
-        // n per relabel round, plus the finisher's four passes (cut,
-        // walk, matched scatter, final mask).
-        let wu = n as u64 * u64::from(rounds) + 4 * n as u64;
-        obs.bounded("work_units", wu, (u64::from(g) + 6) * n as u64 + 64);
+        // n per relabel round, plus the finisher's two passes (cut,
+        // walk).
+        let wu = n as u64 * u64::from(rounds) + 2 * n as u64;
+        obs.bounded("work_units", wu, (u64::from(g) + 4) * n as u64 + 64);
         obs.counter("work_per_node_x100", wu * 100 / n as u64);
     }
     obs.exit();

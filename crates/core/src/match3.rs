@@ -183,8 +183,6 @@ pub(crate) fn run<O: Observer>(
         nxt_a,
         nxt_b,
         cut,
-        mask,
-        matched,
         table_cache,
         ..
     } = ws;
@@ -261,24 +259,15 @@ pub(crate) fn run<O: Observer>(
     obs.exit();
 
     // Steps 5–6: Match1 steps 3–4.
-    let matching = from_labels_core(
-        list,
-        labels_a,
-        pred,
-        cut,
-        mask,
-        matched,
-        table.value_bound(),
-        obs,
-    );
+    let matching = from_labels_core(list, labels_a, pred, cut, table.value_bound(), obs);
     if O::ENABLED {
         // crunch·n, two passes per jump round (concat + pointer jump),
-        // one probe pass, the finisher's four passes.
-        let wu = n as u64 * (u64::from(config.crunch_rounds) + 2 * u64::from(j) + 5);
+        // one probe pass, the finisher's two passes (cut, walk).
+        let wu = n as u64 * (u64::from(config.crunch_rounds) + 2 * u64::from(j) + 3);
         obs.bounded(
             "work_units",
             wu,
-            (u64::from(config.crunch_rounds) + 2 * u64::from(j) + 5) * n as u64 + 64,
+            (u64::from(config.crunch_rounds) + 2 * u64::from(j) + 3) * n as u64 + 64,
         );
         obs.counter("work_per_node_x100", wu * 100 / n as u64);
     }

@@ -3,10 +3,13 @@
 //! Every native pipeline runs in a `Workspace` (pass one to
 //! [`Runner::workspace`](crate::runner::Runner::workspace) to keep it
 //! across runs); after the first run on a given list size, subsequent
-//! runs are **zero-allocation steady-state** — every per-node array (labels,
-//! successor/predecessor caches, cut masks, walkdown colors, greedy
-//! buckets, grid storage) lives here and is resized (a no-op when the
-//! size is unchanged) and refilled in parallel.
+//! runs are **zero-allocation steady-state** apart from the output
+//! matching — every per-node scratch array (labels, successor/predecessor
+//! caches, the cut mask, walkdown colors, greedy buckets, grid storage)
+//! lives here and is resized (a no-op when the size is unchanged) and
+//! refilled in parallel. The Match1/Match3 sublist walk writes its marks
+//! straight into the mask that becomes the output matching, so it keeps
+//! no buffer here.
 //!
 //! The crate forbids `unsafe`, so buffers that are written by parallel
 //! *scatters* (predecessor inversion, walk marks, bucket placement) are
@@ -65,12 +68,9 @@ pub struct Workspace {
     pub(crate) nxt_a: Vec<NodeId>,
     /// Match3 jump-pointer double buffer B.
     pub(crate) nxt_b: Vec<NodeId>,
-    /// Local-minima cut mask.
+    /// Local-minima cut mask (Match1 step 3, for Match1, Match3 and the
+    /// fused batch).
     pub(crate) cut: Vec<bool>,
-    /// Walk marks (pointer tails taken by the sublist walk).
-    pub(crate) mask: Vec<AtomicBool>,
-    /// Matched-node mask for the fix-up pass.
-    pub(crate) matched: Vec<AtomicBool>,
     /// Greedy sweep DONE array.
     pub(crate) done: Vec<AtomicBool>,
     /// Greedy sweep matched-tail marks.
@@ -193,8 +193,6 @@ impl Workspace {
         self.nxt_a.clear();
         self.nxt_b.clear();
         self.cut.clear();
-        self.mask.clear();
-        self.matched.clear();
         self.done.clear();
         self.greedy_mask.clear();
         self.bucket_nodes.clear();

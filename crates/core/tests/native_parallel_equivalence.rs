@@ -10,7 +10,7 @@
 use parmatch_core::finish::from_labels;
 use parmatch_core::prelude::*;
 use parmatch_core::LabelSeq;
-use parmatch_list::{blocked_list, random_list, reversed_list, sequential_list, LinkedList};
+use parmatch_list::{blocked_list, random_list, reversed_list, sequential_list, LinkedList, NIL};
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -214,6 +214,75 @@ fn interleaved_workspace_reuse_is_clean() {
             let reused = Runner::new(algo).workspace(&mut ws).run(&list);
             let fresh = Runner::new(algo).run(&list);
             assert_eq!(reused.matching(), fresh.matching(), "{algo} n={n}");
+        }
+    }
+}
+
+/// One path plus disjoint cycles (each of length ≥ 2): the node order of
+/// `random_list(n, seed)`, cut into a path and then cycles whose lengths
+/// a xorshift stream draws from `2..=4097`.
+fn path_plus_cycles(n: usize, seed: u64) -> LinkedList {
+    let order = random_list(n, seed).order();
+    let mut next = vec![NIL; n];
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut draw = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        2 + (state % 4096) as usize
+    };
+    let mut start = 0;
+    let mut is_path = true;
+    while start < n {
+        let mut end = (start + draw()).min(n);
+        if n - end < 2 {
+            end = n; // no one-node cycle: fold the remainder in
+        }
+        let seg = &order[start..end];
+        for w in seg.windows(2) {
+            next[w[0] as usize] = w[1];
+        }
+        if !is_path {
+            next[seg[seg.len() - 1] as usize] = seg[0];
+        }
+        is_path = false;
+        start = end;
+    }
+    LinkedList::from_parts(next, order[0])
+}
+
+/// The input contract that list validation at the entry points relies
+/// on: a list that passes the local checks (one predecessor per node, a
+/// head without one, one tail) is one path plus disjoint cycles, and on
+/// such a pointer graph Match1 and Match3 return a maximal matching,
+/// identical at every pool size.
+#[test]
+fn path_plus_cycles_get_a_maximal_matching() {
+    let mut lists = vec![
+        LinkedList::from_parts(vec![1, NIL, 3, 2], 0),
+        LinkedList::from_parts(vec![1, NIL, NIL], 0),
+    ];
+    for (n, seed) in [(10usize, 1u64), (1000, 2), (9000, 3), (3 * 8192 + 5, 4)] {
+        lists.push(path_plus_cycles(n, seed));
+    }
+    for algo in [Algorithm::Match1, Algorithm::Match3] {
+        let mut reference: Vec<Matching> = Vec::new();
+        for (t, &threads) in THREADS.iter().enumerate() {
+            let outs: Vec<Matching> = on_pool(threads, || {
+                lists
+                    .iter()
+                    .map(|list| Runner::new(algo).run(list).into_matching())
+                    .collect()
+            });
+            for (list, m) in lists.iter().zip(&outs) {
+                assert!(verify::is_matching(list, m), "{algo} n={}", list.len());
+                assert!(verify::is_maximal(list, m), "{algo} n={}", list.len());
+            }
+            if t == 0 {
+                reference = outs;
+            } else {
+                assert_eq!(reference, outs, "{algo}: thread count {threads} diverged");
+            }
         }
     }
 }

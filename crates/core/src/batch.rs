@@ -8,10 +8,12 @@
 //! out at an offset, the cyclic-successor array maps each job's tail
 //! back to *its own* head, and one `relabel_rounds` sweep relabels
 //! the whole concatenation. The finisher then runs per job on its label
-//! slice, in one parallel pass over jobs: a list-order cut traversal
-//! (no pred inversion) and a chain of sublist walks from the job's head,
-//! through the step-3 test and the step-4 walker that solo runs use
-//! (`finish::is_cut`, `finish::walk_sublist`).
+//! slice, in one parallel pass over jobs: a list-order cut traversal (no
+//! pred inversion) that writes the job's stop successors into its own
+//! window of the (by then dead) cyclic-successor array, and a chain of
+//! sublist walks from the job's head, through the step-3 test and the
+//! step-4 step function that solo runs use (`finish::is_cut`,
+//! `finish::walk_step`).
 //!
 //! **Bit identity.** A job's first round reads its *local* addresses
 //! (`v − off` for node `v` at offset `off`), its successors never leave
@@ -157,15 +159,17 @@ pub fn match1_batch_in(
     }
 
     // Batched finish: one parallel pass whose items are whole *jobs*,
-    // not nodes, each finished by `finish_job` on its own label and cut
-    // windows. A batch of B small jobs costs one parallel dispatch
-    // instead of B × (passes per job).
+    // not nodes, each finished by `finish_job` on its own label window
+    // and its own window of `next_cyc`, which relabel no longer needs
+    // and which now takes the job's stop successors. A batch of B small
+    // jobs costs one parallel dispatch instead of B × (passes per job).
     let total = plan.total_nodes();
     let rounds = plan.key.rounds;
-    let Workspace { labels_a, cut, .. } = &mut *ws;
-    cut.resize(total, false);
+    let Workspace {
+        labels_a, next_cyc, ..
+    } = &mut *ws;
     let mut jobs = Vec::with_capacity(lists.len());
-    let mut rest = &mut cut[..total];
+    let mut rest = &mut next_cyc[..total];
     for (j, &list) in lists.iter().enumerate() {
         let (off, end) = (plan.offsets[j], plan.offsets[j + 1]);
         assert_eq!(end - off, list.len(), "plan/list size mismatch at {j}");
@@ -174,23 +178,24 @@ pub fn match1_batch_in(
         jobs.push((list, &labels_a[off..end], window));
     }
     jobs.into_par_iter()
-        .map(|(list, labels, cut)| Match1Output {
-            matching: finish_job(list, labels, cut),
+        .map(|(list, labels, stop)| Match1Output {
+            matching: finish_job(list, labels, stop),
             rounds,
             final_bound: cascade_bound(list.len() as Word, rounds),
         })
         .collect()
 }
 
-/// Match1 steps 3–4 for one fused job, on its own label and cut windows
-/// (`labels`, `cut` indexed by the job's local node ids). Step 3 is one
-/// traversal in list order: the previous node's label *is* the
-/// predecessor label [`is_cut`] needs, so there is no pred inversion.
-/// Step 4 then chains [`walk_sublist`] from the head, each walk
-/// returning the next sublist's first node. The test and the walker are
-/// the ones `from_labels_core` runs, so the matching is bit-identical to
-/// a solo run.
-pub(crate) fn finish_job(list: &LinkedList, labels: &[u8], cut: &mut [bool]) -> Matching {
+/// Match1 steps 3–4 for one fused job, on its own label and stop
+/// windows (`labels`, `stop` indexed by the job's local node ids).
+/// Step 3 is one traversal in list order: the previous node's label
+/// *is* the predecessor label [`is_cut`] needs, so there is no pred
+/// inversion; it writes `stop[v] = suc v`, or [`NIL`] at a cut node and
+/// at the tail. Step 4 then chains [`walk_sublist`] from the head: each
+/// sublist starts at the successor of the previous one's closing node.
+/// The test and the step function are the ones `from_labels_core` runs,
+/// so the matching is bit-identical to a solo run.
+pub(crate) fn finish_job(list: &LinkedList, labels: &[u8], stop: &mut [NodeId]) -> Matching {
     let next = list.next_array();
     let mut prev = None;
     let mut v = list.head();
@@ -198,11 +203,12 @@ pub(crate) fn finish_job(list: &LinkedList, labels: &[u8], cut: &mut [bool]) -> 
         let lv = labels[v as usize];
         match next[v as usize] {
             NIL => {
-                cut[v as usize] = false;
+                stop[v as usize] = NIL;
                 break;
             }
             w => {
-                cut[v as usize] = is_cut(prev, lv, labels[w as usize]);
+                let cut = is_cut(prev, lv, labels[w as usize]);
+                stop[v as usize] = if cut { NIL } else { w };
                 prev = Some(lv);
                 v = w;
             }
@@ -211,7 +217,8 @@ pub(crate) fn finish_job(list: &LinkedList, labels: &[u8], cut: &mut [bool]) -> 
     let mut mask = vec![false; list.len()];
     let mut h = list.head();
     while h != NIL {
-        h = walk_sublist(next, cut, h, |v| mask[v as usize] = true);
+        let last = walk_sublist(stop, next, h, true, &mut |v, bit| mask[v as usize] = bit);
+        h = next[last as usize];
     }
     Matching::from_mask_unchecked(list, mask)
 }

@@ -14,11 +14,14 @@
 //!   so the re-adds never conflict; this closes the maximality gap at
 //!   sublist boundaries that the paper's prose leaves implicit. The
 //!   oracle [`from_labels`] re-adds in a separate parallel pass. The
-//!   production body decides each re-add inside the sublist walk that
-//!   ends at the deleted pointer (`walk_sublist`), and both production
-//!   drivers — `from_labels_core` for Match1 and Match3, and the fused
-//!   batch's per-job finisher — share that walker and the step-3 test
-//!   `is_cut`.
+//!   production body writes step 3 as a stop-successor array
+//!   (`stop[v] = suc v`, or [`NIL`] at a cut node and at the tail), so a
+//!   walk step gathers one array, and decides each re-add at the step
+//!   that closes the sublist ending at the deleted pointer
+//!   (`walk_step`). Both production drivers — `from_labels_core` for
+//!   Match1 and Match3, which walks several sublists per worker at once
+//!   so that their cache misses overlap, and the fused batch's per-job
+//!   finisher — share that step function and the step-3 test `is_cut`.
 //! * **the greedy set sweep of Match2 step 3** ([`greedy_by_sets`]):
 //!   given any matching partition, process the sets one at a time; within
 //!   a set, add every pointer whose endpoints are both free — legal in
@@ -31,7 +34,8 @@ use crate::workspace::{reset_bools, CHUNK};
 use parmatch_bits::Word;
 use parmatch_list::{cut::walk_sublists, LinkedList, NodeId, NIL};
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 
 /// Match1 step 3: the cut mask. `cut[v]` ⇔ node `v` is a strict local
 /// minimum of the label sequence, with the head's missing predecessor
@@ -116,72 +120,208 @@ pub(crate) fn is_cut(prev_label: Option<u8>, label_v: u8, label_suc: u8) -> bool
     prev_label.is_none_or(|p| p > label_v) && label_suc > label_v
 }
 
-/// Match1 step 4 for one sublist: walk from its first node `h` and call
-/// `mark(v)` for every pointer `<v, suc v>` at an even offset, up to the
-/// tail or the closing cut node `v`. There the walker also decides the
-/// re-add: `<v, suc v>` joins the matching iff the walk ended on an even
-/// offset (so `v` stayed free) and `suc v` is the tail. A cut never
-/// follows a cut when adjacent labels are distinct, so any other
-/// `suc v` starts a sublist whose first pointer is marked.
+/// Sublist walks each worker advances round-robin in
+/// [`walk_sublists_lanes`], so that their cache misses overlap.
+const LANES: usize = 4;
+
+/// Match1 step 4, one node of a sublist walk over the stop-successor
+/// array (`stop[v] = suc v`, or [`NIL`] when `v` is a cut node or the
+/// tail): store `<v, suc v>`'s mark through `set` and return `stop[v]`,
+/// the walk's next node ([`NIL`] when `v` closes its sublist). `even`
+/// is `v`'s offset parity within the sublist.
 ///
-/// Returns the next sublist's first node (`suc v`), or [`NIL`] when the
-/// walk reached the tail.
+/// A node inside the sublist is marked iff its offset is even. The
+/// closing node `v` is marked iff the walk ended on an even offset (so
+/// `v` stayed free) and `suc v` is the tail: that is the re-add of the
+/// deleted pointer `<v, suc v>`. A cut never follows a cut when
+/// adjacent labels are distinct, so any other `suc v` starts a sublist
+/// whose first pointer is marked. Every node lies in exactly one
+/// sublist, so every node gets exactly one store.
+#[inline(always)]
+fn walk_step(
+    stop: &[NodeId],
+    next: &[NodeId],
+    v: NodeId,
+    even: bool,
+    set: &mut impl FnMut(NodeId, bool),
+) -> NodeId {
+    let s = stop[v as usize];
+    let readd = || match next[v as usize] {
+        NIL => false,
+        w => next[w as usize] == NIL,
+    };
+    set(v, even && (s != NIL || readd()));
+    s
+}
+
+/// Walk one sublist to its end from node `v` at offset parity `even`
+/// ([`walk_step`] by [`walk_step`]) and return its closing node.
 #[inline]
 pub(crate) fn walk_sublist(
+    stop: &[NodeId],
     next: &[NodeId],
-    cut: &[bool],
-    h: NodeId,
-    mut mark: impl FnMut(NodeId),
+    mut v: NodeId,
+    mut even: bool,
+    set: &mut impl FnMut(NodeId, bool),
 ) -> NodeId {
-    let mut v = h;
-    let mut even = true;
     loop {
-        let w = next[v as usize];
-        if w == NIL {
-            return NIL;
-        }
-        if cut[v as usize] {
-            if even && next[w as usize] == NIL {
-                mark(v);
+        match walk_step(stop, next, v, even, set) {
+            NIL => return v,
+            s => {
+                v = s;
+                even = !even;
             }
-            return w;
         }
-        if even {
-            mark(v);
+    }
+}
+
+/// Walk every sublist that starts in a scan of `scan` (see
+/// [`SublistStarts`]), [`LANES`] walks at a time: each live walk takes
+/// one [`walk_step`] per round, and a walk that closes its sublist takes
+/// over the next start. Once the scan has no start left, the live walks
+/// finish one at a time (a round over mostly idle lanes would cost more
+/// than it overlaps).
+fn walk_sublists_lanes(
+    stop: &[NodeId],
+    next: &[NodeId],
+    pred: &[NodeId],
+    scan: Range<usize>,
+    set: &mut impl FnMut(NodeId, bool),
+) {
+    let mut starts = SublistStarts {
+        stop,
+        next,
+        pred,
+        scan,
+        buf: [NIL; 2 * SCAN],
+        len: 0,
+        pos: 0,
+    };
+    let mut cur = [NIL; LANES];
+    let mut even = [true; LANES];
+    for (slot, h) in cur.iter_mut().zip(&mut starts) {
+        *slot = h;
+    }
+    // Lanes fill in order: with fewer starts than lanes the last one
+    // stays empty, and the drain below walks the rest.
+    'rounds: while cur[LANES - 1] != NIL {
+        for i in 0..LANES {
+            match walk_step(stop, next, cur[i], even[i], set) {
+                NIL => match starts.next() {
+                    Some(h) => {
+                        cur[i] = h;
+                        even[i] = true;
+                    }
+                    None => {
+                        cur[i] = NIL;
+                        break 'rounds;
+                    }
+                },
+                s => {
+                    cur[i] = s;
+                    even[i] = !even[i];
+                }
+            }
         }
-        even = !even;
-        v = w;
+    }
+    for (&v, &e) in cur.iter().zip(&even) {
+        if v != NIL {
+            walk_sublist(stop, next, v, e, set);
+        }
+    }
+}
+
+/// Nodes [`SublistStarts`] scans per refill of its buffer.
+const SCAN: usize = 64;
+
+/// The first nodes of the sublists that begin in a scan of a node range:
+/// `u` itself when it has no predecessor (the head), and `suc u` when
+/// `u` is a cut node (`stop[u]` is [`NIL`] but `next[u]` is not). Every
+/// sublist has exactly one of them. The scan reads `pred`, `stop` and
+/// `next` in order, [`SCAN`] nodes at a time, and appends the starts to
+/// a small buffer without a branch, so a lane that closes its sublist
+/// takes its next start with one buffer read.
+struct SublistStarts<'a> {
+    stop: &'a [NodeId],
+    next: &'a [NodeId],
+    pred: &'a [NodeId],
+    scan: Range<usize>,
+    buf: [NodeId; 2 * SCAN],
+    len: usize,
+    pos: usize,
+}
+
+impl SublistStarts<'_> {
+    /// Scan on until the buffer holds a start or the range is done;
+    /// false when no start is left. Kept out of line: inlined into the
+    /// lanes loop, it measured slower on random lists.
+    #[inline(never)]
+    fn refill(&mut self) -> bool {
+        self.pos = 0;
+        self.len = 0;
+        while self.len == 0 && !self.scan.is_empty() {
+            let end = (self.scan.start + SCAN).min(self.scan.end);
+            for u in self.scan.start..end {
+                self.buf[self.len] = u as NodeId;
+                self.len += usize::from(self.pred[u] == NIL);
+                let w = self.next[u];
+                self.buf[self.len] = w;
+                self.len += usize::from(self.stop[u] == NIL && w != NIL);
+            }
+            self.scan.start = end;
+        }
+        self.len != 0
+    }
+}
+
+impl Iterator for SublistStarts<'_> {
+    type Item = NodeId;
+
+    #[inline]
+    fn next(&mut self) -> Option<NodeId> {
+        if self.pos == self.len && !self.refill() {
+            return None;
+        }
+        self.pos += 1;
+        Some(self.buf[self.pos - 1])
     }
 }
 
 /// Match1 steps 3–4 as the production pipeline runs them, for Match1
 /// and Match3: the labels are the relabel kernel's bytes, the
-/// predecessor array is taken precomputed, and the cut mask lives in a
-/// caller-provided (workspace) buffer. Two passes: the chunked
-/// [`is_cut`] pass, then one [`walk_sublist`] from every locally
-/// detectable head (`h` starts a sublist iff `pred[h]` is [`NIL`] or
-/// cut). The walker decides the re-adds itself, so its marks land
-/// straight in the output mask, which becomes the matching in place.
-/// Each pointer belongs to one sublist, so every mark has one writer,
-/// and every mark sits on a real pointer by construction. The matching
-/// is bit-identical to [`from_labels`], whose separate re-add pass is
-/// the oracle for the walker's.
+/// predecessor array is taken precomputed, and the stop-successor array
+/// lives in a caller-provided (workspace) buffer. Two passes:
+///
+/// * the chunked cut pass streams `v` in order and writes
+///   `stop[v] = suc v`, or [`NIL`] when [`is_cut`] deletes `<v, suc v>`
+///   or `v` is the tail;
+/// * the walk pass scans each chunk for its sublist starts and walks
+///   them [`LANES`] at a time ([`walk_sublists_lanes`]). Each step
+///   gathers only `stop[v]`, and the walker decides the re-adds itself,
+///   so its marks land straight in the output mask, which becomes the
+///   matching in place.
+///
+/// Each node lies in one sublist, so every mask slot has one writer
+/// (debug builds count the nodes walked against `n`), and every mark
+/// sits on a real pointer by construction. The matching is
+/// bit-identical to [`from_labels`], whose separate re-add pass is the
+/// oracle for the walker's.
 ///
 /// Once the matching is built, the `finish` span is opened and closed
 /// for every observer. An auditing observer (`O::ENABLED`) also gets a
-/// sequential replay of the sublist structure left in the cut mask:
-/// cut pointers, sublist count, nodes walked (every node lies in
-/// exactly one sublist, so this totals `n`), walk marks vs. re-adds
+/// sequential replay of the sublist structure left in `stop`: cut
+/// pointers, sublist count, nodes walked (every node lies in exactly
+/// one sublist, so this totals `n`), walk marks vs. re-adds
 /// (`fixup_additions`: the walker marks a cut node only as a re-add, so
-/// these are the matched cut pointers), and the longest
-/// sublist audited against the paper's `2·bound − 1` (a sublist has no
-/// interior local minimum, so its labels ascend then descend — at most
-/// `bound` nodes each way, sharing the peak).
+/// these are the matched cut pointers), and the longest sublist audited
+/// against the paper's `2·bound − 1` (a sublist has no interior local
+/// minimum, so its labels ascend then descend — at most `bound` nodes
+/// each way, sharing the peak).
 pub(crate) fn from_labels_core<O: Observer>(
     list: &LinkedList,
     labels: &[u8],
     pred: &[NodeId],
-    cut: &mut Vec<bool>,
+    stop: &mut Vec<NodeId>,
     bound: Word,
     obs: &mut O,
 ) -> Matching {
@@ -193,67 +333,79 @@ pub(crate) fn from_labels_core<O: Observer>(
     assert_eq!(pred.len(), n, "pred array length mismatch");
     let next = list.next_array();
 
-    // Step 3: the local-minima cut, chunked over nodes.
-    cut.resize(n, false);
-    cut.par_chunks_mut(CHUNK)
+    // Step 3: the local-minima cut, as stop successors, chunked over
+    // nodes.
+    stop.resize(n, NIL);
+    stop.par_chunks_mut(CHUNK)
         .enumerate()
         .for_each(|(ci, chunk)| {
             let base = ci * CHUNK;
             for (i, slot) in chunk.iter_mut().enumerate() {
                 let v = base + i;
                 *slot = match next[v] {
-                    NIL => false,
+                    NIL => NIL,
                     w => {
                         let prev = match pred[v] {
                             NIL => None,
                             u => Some(labels[u as usize]),
                         };
-                        is_cut(prev, labels[v], labels[w as usize])
+                        if is_cut(prev, labels[v], labels[w as usize]) {
+                            NIL
+                        } else {
+                            w
+                        }
                     }
                 };
             }
         });
 
-    // Step 4: walk each sublist from its head, re-adds included.
-    let cut: &[bool] = cut;
+    // Step 4: walk the sublists that start in each chunk, re-adds
+    // included.
+    let stop: &[NodeId] = stop;
     let mask: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-    (0..n as NodeId)
-        .into_par_iter()
-        .with_min_len(CHUNK)
-        .for_each(|h| {
-            let starts = match pred[h as usize] {
-                NIL => true,
-                u => cut[u as usize],
-            };
-            if starts {
-                walk_sublist(next, cut, h, |v| {
-                    mask[v as usize].store(true, Ordering::Relaxed)
-                });
-            }
+    let walked = AtomicUsize::new(0);
+    (0..n.div_ceil(CHUNK)).into_par_iter().for_each(|ci| {
+        let lo = ci * CHUNK;
+        let mut nodes = 0usize;
+        walk_sublists_lanes(stop, next, pred, lo..(lo + CHUNK).min(n), &mut |v, bit| {
+            mask[v as usize].store(bit, Ordering::Relaxed);
+            nodes += 1;
         });
+        if cfg!(debug_assertions) {
+            walked.fetch_add(nodes, Ordering::Relaxed);
+        }
+    });
+    debug_assert_eq!(
+        walked.into_inner(),
+        n,
+        "every node lies in exactly one sublist"
+    );
     let mask: Vec<bool> = mask.into_iter().map(AtomicBool::into_inner).collect();
     let m = Matching::from_mask_unchecked(list, mask);
     obs.enter("finish");
     if O::ENABLED {
-        audit_sublists(list, pred, cut, &m, bound, obs);
+        audit_sublists(list, pred, stop, &m, bound, obs);
     }
     obs.exit();
     m
 }
 
 /// The `finish` audit: replay the sublists [`from_labels_core`] walked
-/// and record their shape on the open span.
+/// and record their shape on the open span. Cut nodes are read back off
+/// `stop`: `v` is cut iff `stop[v]` is [`NIL`] but `next[v]` is not.
 fn audit_sublists<O: Observer>(
     list: &LinkedList,
     pred: &[NodeId],
-    cut: &[bool],
+    stop: &[NodeId],
     m: &Matching,
     bound: Word,
     obs: &mut O,
 ) {
-    let cut_pointers = cut.iter().filter(|&&c| c).count() as u64;
+    let next = list.next_array();
+    let is_cut = |v: NodeId| stop[v as usize] == NIL && next[v as usize] != NIL;
+    let cut_pointers = (0..list.len() as NodeId).filter(|&v| is_cut(v)).count() as u64;
     let readds = (0..list.len() as NodeId)
-        .filter(|&v| cut[v as usize] && m.contains_tail(v))
+        .filter(|&v| is_cut(v) && m.contains_tail(v))
         .count() as u64;
     let mut sublists = 0u64;
     let mut walk_nodes = 0u64;
@@ -261,7 +413,7 @@ fn audit_sublists<O: Observer>(
     for h in 0..list.len() as NodeId {
         let starts = match pred[h as usize] {
             NIL => true,
-            u => cut[u as usize],
+            u => is_cut(u),
         };
         if !starts {
             continue;
@@ -269,17 +421,9 @@ fn audit_sublists<O: Observer>(
         sublists += 1;
         let mut v = h;
         let mut len = 1u64;
-        loop {
-            if cut[v as usize] {
-                break;
-            }
-            match list.next_raw(v) {
-                NIL => break,
-                w => {
-                    len += 1;
-                    v = w;
-                }
-            }
+        while stop[v as usize] != NIL {
+            len += 1;
+            v = stop[v as usize];
         }
         walk_nodes += len;
         max_sublist = max_sublist.max(len);
@@ -547,7 +691,7 @@ mod tests {
                         let rec = rec.finish();
                         assert!(rec.all_bounds_hold(), "{seq:?}");
                         readds += rec.find("fixup_additions").unwrap_or(0);
-                        let batch = finish_job(&list, &labels, &mut vec![true; n]);
+                        let batch = finish_job(&list, &labels, &mut vec![NIL; n]);
                         assert_eq!(solo, oracle, "solo driver, labels {seq:?}");
                         assert_eq!(batch, oracle, "batch driver, labels {seq:?}");
                     }
@@ -564,6 +708,110 @@ mod tests {
             }
         }
         assert!(readds > 1000, "tail re-adds exercised {readds} times");
+    }
+
+    /// The node order of `random_list(n, seed)` cut into one path and
+    /// then cycles of 2 to 65 nodes, returned with its segments (nodes
+    /// in list order, and whether the segment closes into a cycle).
+    fn path_plus_cycles(n: usize, seed: u64) -> (LinkedList, Vec<(Vec<NodeId>, bool)>) {
+        let order = random_list(n, seed).order();
+        let mut next = vec![NIL; n];
+        let mut segments = Vec::new();
+        let mut start = 0;
+        while start < n {
+            let mut end = (start + 2 + (order[start] as usize * 7 + start) % 64).min(n);
+            if n - end < 2 {
+                end = n; // no one-node cycle: fold the remainder in
+            }
+            let seg = order[start..end].to_vec();
+            for w in seg.windows(2) {
+                next[w[0] as usize] = w[1];
+            }
+            let cyclic = start > 0;
+            if cyclic {
+                next[seg[seg.len() - 1] as usize] = seg[0];
+            }
+            segments.push((seg, cyclic));
+            start = end;
+        }
+        (LinkedList::from_parts(next, order[0]), segments)
+    }
+
+    /// Labels over `{0, 1, 2, 3}` drawn by a xorshift stream, distinct
+    /// along every pointer of `segments`, the closing pointer of a cycle
+    /// included.
+    fn adjacent_distinct_labels(n: usize, segments: &[(Vec<NodeId>, bool)], seed: u64) -> Vec<u8> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut labels = vec![0u8; n];
+        for (seg, cyclic) in segments {
+            let mut prev = None;
+            for (i, &v) in seg.iter().enumerate() {
+                let first = (*cyclic && i + 1 == seg.len()).then(|| labels[seg[0] as usize]);
+                let l = loop {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    let l = (state % 4) as u8;
+                    if Some(l) != prev && Some(l) != first {
+                        break l;
+                    }
+                };
+                labels[v as usize] = l;
+                prev = Some(l);
+            }
+        }
+        labels
+    }
+
+    /// Lists of `3·CHUNK + 5` nodes in four layouts — random, blocked,
+    /// reversed, and one path plus disjoint cycles — with random
+    /// adjacent-distinct labels over `{0, 1, 2, 3}`: short sublists,
+    /// every lane refilled hundreds of times within a chunk, and walks
+    /// that cross chunk boundaries. (Only the sublist before a one-node
+    /// tail sublist can re-add, so the exhaustive test above is the one
+    /// that exercises re-adds in bulk.) `from_labels_core` must equal
+    /// the oracle bit for bit at pools 1, 2 and 8, and its audit must
+    /// count every node walked once.
+    #[test]
+    fn lane_walker_matches_oracle_across_chunks() {
+        use crate::obs::{NoopObserver, Recorder};
+        use parmatch_list::blocked_list;
+        let n = 3 * CHUNK + 5;
+        let paths = [
+            random_list(n, 3),
+            blocked_list(n, 4096, 4),
+            reversed_list(n),
+        ];
+        let cases = paths
+            .into_iter()
+            .map(|list| {
+                let segments = vec![(list.order(), false)];
+                (list, segments)
+            })
+            .chain([path_plus_cycles(n, 5)]);
+        for (seed, (list, segments)) in (10u64..).zip(cases) {
+            let list = &list;
+            let labels = adjacent_distinct_labels(n, &segments, seed);
+            let wide: Vec<Word> = labels.iter().map(|&l| Word::from(l)).collect();
+            let oracle = from_labels(list, &wide);
+            let pred = list.pred_array();
+            let mut rec = Recorder::new();
+            let audited = from_labels_core(list, &labels, &pred, &mut vec![], 4, &mut rec);
+            let rec = rec.finish();
+            assert_eq!(audited, oracle, "audited run, seed {seed}");
+            assert!(rec.all_bounds_hold(), "seed {seed}");
+            assert_eq!(rec.find("walk_nodes"), Some(n as u64), "seed {seed}");
+            for threads in [1, 2, 8] {
+                let m = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap()
+                    .install(|| {
+                        from_labels_core(list, &labels, &pred, &mut vec![], 4, &mut NoopObserver)
+                    });
+                assert_eq!(m, oracle, "seed {seed} at {threads} threads");
+            }
+        }
     }
 
     #[test]

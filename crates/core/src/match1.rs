@@ -60,10 +60,8 @@ pub(crate) fn run<O: Observer>(
         pred,
         labels_a,
         labels_b,
-        cut,
         ..
     } = ws;
-    let next_cyc: &[NodeId] = next_cyc;
     let rounds = convergence_rounds(n as Word);
     let g = g_of(n as Word);
     obs.enter("match1");
@@ -82,7 +80,9 @@ pub(crate) fn run<O: Observer>(
     if O::ENABLED {
         obs.bounded("rounds", u64::from(rounds), u64::from(g) + 2);
     }
-    let matching = from_labels_core(list, labels_a, pred, cut, bound, obs);
+    // Relabel was `next_cyc`'s last reader: it now takes the finisher's
+    // stop successors.
+    let matching = from_labels_core(list, labels_a, pred, next_cyc, bound, obs);
     if O::ENABLED {
         // n per relabel round, plus the finisher's two passes (cut,
         // walk).

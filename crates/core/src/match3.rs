@@ -182,7 +182,6 @@ pub(crate) fn run<O: Observer>(
         win_b,
         nxt_a,
         nxt_b,
-        cut,
         table_cache,
         ..
     } = ws;
@@ -259,7 +258,9 @@ pub(crate) fn run<O: Observer>(
     obs.exit();
 
     // Steps 5–6: Match1 steps 3–4.
-    let matching = from_labels_core(list, labels_a, pred, cut, table.value_bound(), obs);
+    // The first jump round was `next_cyc`'s last reader: it now takes
+    // the finisher's stop successors.
+    let matching = from_labels_core(list, labels_a, pred, next_cyc, table.value_bound(), obs);
     if O::ENABLED {
         // crunch·n, two passes per jump round (concat + pointer jump),
         // one probe pass, the finisher's two passes (cut, walk).

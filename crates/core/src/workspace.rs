@@ -5,11 +5,13 @@
 //! across runs); after the first run on a given list size, subsequent
 //! runs are **zero-allocation steady-state** apart from the output
 //! matching — every per-node scratch array (labels, successor/predecessor
-//! caches, the cut mask, walkdown colors, greedy buckets, grid storage)
-//! lives here and is resized (a no-op when the size is unchanged) and
-//! refilled in parallel. The Match1/Match3 sublist walk writes its marks
-//! straight into the mask that becomes the output matching, so it keeps
-//! no buffer here.
+//! caches, walkdown colors, greedy buckets, grid storage) lives here and
+//! is resized (a no-op when the size is unchanged) and refilled in
+//! parallel. The Match1 steps 3–4 finisher (Match1, Match3, the fused
+//! batch) keeps no buffer of its own: its stop-successor array overwrites
+//! `next_cyc` once relabel or Match3's first jump round has read it, and
+//! its sublist walk writes its marks straight into the mask that becomes
+//! the output matching.
 //!
 //! The crate forbids `unsafe`, so buffers that are written by parallel
 //! *scatters* (predecessor inversion, walk marks, bucket placement) are
@@ -47,7 +49,10 @@ pub(crate) const CHUNK: usize = 1 << 13;
 /// ```
 #[derive(Debug, Default)]
 pub struct Workspace {
-    /// Cached cyclic-successor array (branch-free `suc`).
+    /// Cached cyclic-successor array (branch-free `suc`). Once relabel
+    /// (Match1, the fused batch) or the first jump round (Match3) has
+    /// read it, the Match1 steps 3–4 finisher overwrites it with the
+    /// stop-successor array its sublist walk runs on.
     pub(crate) next_cyc: Vec<NodeId>,
     /// Scatter target for predecessor inversion.
     pub(crate) pred_atomic: Vec<AtomicU32>,
@@ -68,9 +73,6 @@ pub struct Workspace {
     pub(crate) nxt_a: Vec<NodeId>,
     /// Match3 jump-pointer double buffer B.
     pub(crate) nxt_b: Vec<NodeId>,
-    /// Local-minima cut mask (Match1 step 3, for Match1, Match3 and the
-    /// fused batch).
-    pub(crate) cut: Vec<bool>,
     /// Greedy sweep DONE array.
     pub(crate) done: Vec<AtomicBool>,
     /// Greedy sweep matched-tail marks.
@@ -192,7 +194,6 @@ impl Workspace {
         self.win_b.clear();
         self.nxt_a.clear();
         self.nxt_b.clear();
-        self.cut.clear();
         self.done.clear();
         self.greedy_mask.clear();
         self.bucket_nodes.clear();

@@ -54,9 +54,11 @@ COMMANDS
           [--rounds K] [--i I] [--threads T] [--deadline-ms D]
           [--observed]`; blank lines and `#` comments are skipped.
           Jobs run concurrently over a bounded pool of reusable
-          workspace arenas — compatible small lists fuse into one
-          batched sweep — and results print in submission order,
-          each bit-identical to a solo run of the same spec.
+          workspace arenas. Each of the W workers (default 2) drains
+          at most ⌈B / W⌉ queued jobs at a time (B defaults to 32),
+          and compatible small lists within one such share fuse into
+          one batched sweep. Results print in submission order, each
+          bit-identical to a solo run of the same spec.
   verify  (--input FILE | --faults [--n N] [--seed S] [--trials T])
           Structural validation of a list file, or the fault-injection
           self-check: seeded faults through every matcher, asserting

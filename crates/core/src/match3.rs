@@ -21,7 +21,7 @@ use crate::finish::from_labels_core;
 use crate::labels::relabel_rounds;
 use crate::matching::Matching;
 use crate::obs::Observer;
-use crate::table::TableError;
+use crate::table::{window_args, TableError};
 use crate::workspace::{Workspace, CHUNK};
 use crate::CoinVariant;
 use parmatch_bits::{g_of, ilog2_ceil, Word};
@@ -171,7 +171,7 @@ pub(crate) fn run<O: Observer>(
     };
     // Window length; a table needs at least two arguments, so from here
     // on j ≥ 1.
-    let m = 1u32 << j;
+    let m = window_args(j, config.max_table_bits)?;
     ws.table_ensure(w, m, config.variant, config.max_table_bits)?;
 
     let Workspace {

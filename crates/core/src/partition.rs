@@ -12,6 +12,7 @@
 //! new label of its tail.
 
 use crate::labels::LabelSeq;
+use crate::workspace::CHUNK;
 use crate::CoinVariant;
 use parmatch_bits::Word;
 use parmatch_list::{LinkedList, NodeId, NIL};
@@ -83,7 +84,11 @@ impl PointerSets {
     ///
     /// Panics if any entry is neither [`NO_POINTER`] nor below `bound`.
     pub fn from_raw(set: Vec<Word>, bound: Word, rounds: u32) -> Self {
-        if !set.par_iter().all(|&s| s == NO_POINTER || s < bound) {
+        if !set
+            .par_iter()
+            .with_min_len(CHUNK)
+            .all(|&s| s == NO_POINTER || s < bound)
+        {
             let (v, &s) = set
                 .iter()
                 .enumerate()

@@ -25,7 +25,7 @@ use super::{
 };
 use crate::match3::{Match3Config, Match3Error};
 use crate::matching::Matching;
-use crate::table::TupleTable;
+use crate::table::{window_args, TupleTable};
 use parmatch_bits::{g_of, ilog2_ceil};
 use parmatch_list::LinkedList;
 use parmatch_pram::{ExecMode, Machine, Model, PramError, Stats, Word};
@@ -131,7 +131,7 @@ pub fn match3_pram(
             j
         }
     };
-    let m_args = 1u32 << j;
+    let m_args = window_args(j, config.max_table_bits).map_err(Match3Error::Table)?;
     let table = TupleTable::build(w, m_args, config.variant, config.max_table_bits)
         .map_err(Match3Error::Table)?;
 

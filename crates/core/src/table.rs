@@ -30,7 +30,8 @@ pub enum TableError {
     /// The dense table would need more than the configured limit of
     /// index bits.
     TooLarge {
-        /// Requested index bits (`entry_bits * args`).
+        /// Requested index bits (`entry_bits * args`, saturating at
+        /// `u32::MAX` when that product or `args` itself overflows).
         bits: u32,
         /// Configured maximum.
         max_bits: u32,
@@ -51,6 +52,16 @@ impl std::fmt::Display for TableError {
 }
 
 impl std::error::Error for TableError {}
+
+/// The argument count `m = 2^j` of the table behind `j` jump rounds. A
+/// `j` whose window count overflows `u32` asks for a table no host can
+/// hold, so it is [`TableError::TooLarge`] like any other oversized one.
+pub(crate) fn window_args(jump_rounds: u32, max_bits: u32) -> Result<u32, TableError> {
+    1u32.checked_shl(jump_rounds).ok_or(TableError::TooLarge {
+        bits: u32::MAX,
+        max_bits,
+    })
+}
 
 /// One fold level: `out[p] = f_ext(vals[p], vals[p+1])` with the given
 /// width, returning the new values and the width bound of the next level.
@@ -115,7 +126,9 @@ impl TupleTable {
         if entry_bits == 0 || args < 2 {
             return Err(TableError::Degenerate);
         }
-        let bits = entry_bits * args;
+        // Saturate, so an overflowing product is rejected here, before
+        // anything is allocated, instead of wrapping to a small index.
+        let bits = entry_bits.saturating_mul(args);
         if bits > max_bits || bits >= 32 {
             return Err(TableError::TooLarge { bits, max_bits });
         }

@@ -8,6 +8,7 @@
 
 use crate::matching::Matching;
 use crate::partition::{PointerSets, NO_POINTER};
+use crate::workspace::CHUNK;
 use parmatch_list::{LinkedList, NodeId, NIL};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -86,20 +87,25 @@ pub fn partition_is_valid(list: &LinkedList, ps: &PointerSets) -> bool {
 /// adjacent pointers differ.
 pub fn coloring_is_proper(list: &LinkedList, colors: &[u8], palette: u8) -> bool {
     assert_eq!(colors.len(), list.len(), "color array length mismatch");
-    (0..list.len() as NodeId).into_par_iter().all(|v| {
-        let head = list.next_raw(v);
-        if head == NIL {
-            return true;
-        }
-        let c = colors[v as usize];
-        if c >= palette {
-            return false;
-        }
-        match list.next_raw(head) {
-            NIL => true,
-            _ => colors[head as usize] != c,
-        }
-    })
+    // Match4 runs this check in debug builds: one chunk per `CHUNK`
+    // nodes keeps small lists off the pool there too.
+    (0..list.len() as NodeId)
+        .into_par_iter()
+        .with_min_len(CHUNK)
+        .all(|v| {
+            let head = list.next_raw(v);
+            if head == NIL {
+                return true;
+            }
+            let c = colors[v as usize];
+            if c >= palette {
+                return false;
+            }
+            match list.next_raw(head) {
+                NIL => true,
+                _ => colors[head as usize] != c,
+            }
+        })
 }
 
 /// Full acceptance check used across the test suites: matching, maximal,

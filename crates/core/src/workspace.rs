@@ -103,7 +103,9 @@ pub struct Workspace {
 /// parallel; `get_mut` needs no atomic ordering under `&mut`).
 pub(crate) fn reset_bools(v: &mut Vec<AtomicBool>, n: usize) {
     v.resize_with(n, || AtomicBool::new(false));
-    v.par_iter_mut().for_each(|a| *a.get_mut() = false);
+    v.par_iter_mut()
+        .with_min_len(CHUNK)
+        .for_each(|a| *a.get_mut() = false);
 }
 
 impl Workspace {
@@ -134,6 +136,7 @@ impl Workspace {
         self.pred_atomic.resize_with(n, || AtomicU32::new(NIL));
         self.pred_atomic
             .par_iter_mut()
+            .with_min_len(CHUNK)
             .for_each(|a| *a.get_mut() = NIL);
         let next = list.next_array();
         let pa = &self.pred_atomic;
@@ -209,6 +212,7 @@ impl Workspace {
         self.colors.resize_with(n, || AtomicU8::new(UNCOLORED));
         self.colors
             .par_iter_mut()
+            .with_min_len(CHUNK)
             .for_each(|a| *a.get_mut() = UNCOLORED);
     }
 

@@ -13,12 +13,15 @@
 //!   by a *panicked* job is [`Workspace::scrub`]bed first; the next
 //!   checkout sees fresh-workspace behavior (the `arena_reuse` suite in
 //!   `parmatch-core` pins this).
-//! * **Batch coalescing.** Small Match1 jobs whose lists share a
-//!   [`BatchKey`] (same width class, convergence rounds, and coin
-//!   variant) are drained opportunistically from the queue and fused
-//!   into **one** [`match1_batch_in`] sweep over a concatenated arena
-//!   with per-job offsets. Fused results are bit-identical to per-job
-//!   [`Runner`] runs — batching is a pure throughput optimization.
+//! * **Batch coalescing.** Each worker drains its share of the queue,
+//!   at most `⌈max_batch / workers⌉` jobs per gulp, so a full queue
+//!   feeds every worker. Small Match1 jobs in one gulp whose lists share
+//!   a [`BatchKey`] (same width class, convergence rounds, and coin
+//!   variant) are fused into **one** [`match1_batch_in`] sweep over a
+//!   concatenated arena with per-job offsets, run on the worker's
+//!   `threads_per_job` pool like a solo job. Fused results are
+//!   bit-identical to per-job [`Runner`] runs — batching is a pure
+//!   throughput optimization.
 //! * **Isolation.** Each job runs under `catch_unwind`: a panicking job
 //!   (cancellation probe, deadline trip, fault-corrupted assertion, or
 //!   a genuine bug) produces a [`JobError`] for *that job only* — the
@@ -296,7 +299,8 @@ pub struct JobResult {
 }
 
 /// Service sizing. `Default` is a small conservative setup (2 workers,
-/// 64-deep queue, one arena per worker, 32-job batch gulps).
+/// 64-deep queue, one arena per worker, `max_batch` 32: gulps of up to
+/// 16 jobs per worker).
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
     /// Worker threads executing jobs.
@@ -307,8 +311,9 @@ pub struct ServiceConfig {
     /// Reusable [`Workspace`] arenas in the pool (checkout blocks when
     /// all are loaned out).
     pub arenas: usize,
-    /// Most jobs one worker drains into a single gulp — the upper bound
-    /// on fused-batch size.
+    /// Gulp budget shared by the workers: each worker drains at most
+    /// `⌈max_batch / workers⌉` queued jobs at a time, which bounds the
+    /// fused-batch size. Jobs fuse only when that share is at least 2.
     pub max_batch: usize,
     /// Rayon threads each job runs with on the shared pool (`0` = the
     /// ambient default). Per-job [`JobSpec::threads`] overrides this.
@@ -488,7 +493,9 @@ impl MatchService {
         let workers = config.workers.max(1);
         let queue_depth = config.queue_depth.max(1);
         let arenas = config.arenas.max(1);
-        let max_batch = config.max_batch.max(1);
+        // Each worker's gulp is its share of `max_batch`, so a full queue
+        // feeds every worker instead of the first one to wake.
+        let share = config.max_batch.max(1).div_ceil(workers);
         let (submit_tx, submit_rx) = mpsc::sync_channel::<Envelope>(queue_depth);
         let (done_tx, done_rx) = mpsc::channel::<JobResult>();
         let mut recorder = Recorder::new();
@@ -510,7 +517,7 @@ impl MatchService {
                 let pool = pool.clone();
                 std::thread::Builder::new()
                     .name(format!("parmatch-worker-{k}"))
-                    .spawn(move || worker_loop(&shared, &done, &pool, max_batch))
+                    .spawn(move || worker_loop(&shared, &done, &pool, share))
                     .expect("spawning a worker thread cannot fail")
             })
             .collect();
@@ -619,17 +626,12 @@ impl MatchService {
     }
 }
 
-fn worker_loop(
-    shared: &Shared,
-    done: &Sender<JobResult>,
-    pool: &rayon::ThreadPool,
-    max_batch: usize,
-) {
+fn worker_loop(shared: &Shared, done: &Sender<JobResult>, pool: &rayon::ThreadPool, share: usize) {
     loop {
         // One blocking recv, then an opportunistic gulp: whatever is
-        // already queued (up to max_batch) comes along, giving the batch
-        // coalescer something to fuse under load while staying
-        // zero-latency when the queue is quiet.
+        // already queued (up to this worker's share of max_batch) comes
+        // along, giving the batch coalescer something to fuse under load
+        // while staying zero-latency when the queue is quiet.
         let mut gulp = Vec::new();
         {
             let rx = shared.jobs.lock().expect("job queue poisoned");
@@ -637,7 +639,7 @@ fn worker_loop(
                 Ok(env) => gulp.push(env),
                 Err(_) => return, // service shut down and queue drained
             }
-            while gulp.len() < max_batch {
+            while gulp.len() < share {
                 match rx.try_recv() {
                     Ok(env) => gulp.push(env),
                     Err(_) => break,
@@ -682,10 +684,10 @@ fn complete(shared: &Shared, done: &Sender<JobResult>, result: JobResult) {
     let _ = done.send(result);
 }
 
-/// Run a fused batch of same-key Match1 jobs as one sweep. Falls back to
-/// solo runs if the fused sweep itself panics (it should not — batch
-/// jobs carry no probes or faults — but isolation must not depend on
-/// that).
+/// Run a fused batch of same-key Match1 jobs as one sweep on the
+/// worker's pool, as a solo job runs. Falls back to solo runs if the
+/// fused sweep itself panics (it should not — batch jobs carry no probes
+/// or faults — but isolation must not depend on that).
 fn run_batch(
     shared: &Shared,
     done: &Sender<JobResult>,
@@ -725,7 +727,7 @@ fn run_batch(
     let outs = with_expected_panics(|| {
         catch_unwind(AssertUnwindSafe(|| {
             let mut guard = ArenaGuard::new(&shared.arenas, ws);
-            match1_batch_in(&lists, &plan, guard.ws())
+            pool.install(|| match1_batch_in(&lists, &plan, guard.ws()))
         }))
     });
     match outs {

@@ -4,10 +4,15 @@
 //! injected next to it.
 
 use parmatch_core::prelude::*;
+use parmatch_core::table::TableError;
+use parmatch_core::Match3Error;
 use parmatch_list::{random_list, LinkedList};
 use parmatch_pram::fault::{FaultClass, FaultPlan};
-use parmatch_service::{JobId, JobResult, JobSpec, MatchService, ServiceConfig, SubmitError};
+use parmatch_service::{
+    JobError, JobId, JobResult, JobSpec, MatchService, ServiceConfig, SubmitError,
+};
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 /// Sizes spanning the degenerate cases, several batchable width
 /// classes, and lists big enough to exercise the parallel pipeline.
@@ -210,6 +215,129 @@ fn fault_injected_job_leaves_others_bit_identical() {
             spec.algorithm,
             spec.list.len()
         );
+    }
+    svc.shutdown();
+}
+
+#[test]
+fn scheduler_grid_stays_bit_identical_and_fuses() {
+    // Every `threads_per_job × workers × max_batch` cell returns each job
+    // bit-identical to its solo run. A cell whose per-worker share
+    // `⌈max_batch / workers⌉` holds two jobs (here: whenever max_batch ≥
+    // 2·workers) fuses queued same-key Match1 jobs; a share of one never
+    // fuses. Specs and their solo runs are built once for all cells.
+    // The slow job must outlast the staggered submissions below by a wide
+    // margin: grow it until its solo run takes 25 ms.
+    let mut n = 1 << 16;
+    let (slow, slow_ref) = loop {
+        let spec = JobSpec::new(Algorithm::Match4, random_list(n, 77));
+        let t = Instant::now();
+        let out = reference_run(&spec).into_matching();
+        if t.elapsed() >= Duration::from_millis(25) {
+            break (spec, out);
+        }
+        n *= 2;
+    };
+    let small = 24;
+    let mut specs: Vec<JobSpec> = (0..small)
+        .map(|i| {
+            let n = 33 + (i * 7) % 32; // one width class: 33..=64
+            JobSpec::new(Algorithm::Match1, random_list(n, 3000 + i as u64))
+        })
+        .collect();
+    specs.extend((0..8).map(|i| spec_for(i, &random_list(SIZES[i + 4], 4000 + i as u64))));
+    let refs: Vec<Matching> = specs
+        .iter()
+        .map(|spec| reference_run(spec).into_matching())
+        .collect();
+    for threads_per_job in [0, 1, 2] {
+        for workers in [1, 2, 3] {
+            for max_batch in [1, 8, 32] {
+                let cell = format!(
+                    "threads_per_job={threads_per_job} workers={workers} max_batch={max_batch}"
+                );
+                let svc = MatchService::start(ServiceConfig {
+                    workers,
+                    queue_depth: 64,
+                    arenas: workers,
+                    max_batch,
+                    threads_per_job,
+                });
+                let mut results = Vec::new();
+                // One slow job per worker, spaced so that each is taken by
+                // an idle worker: the rest then queue behind busy workers.
+                let mut slow_ids = Vec::new();
+                for _ in 0..workers {
+                    slow_ids.push(submit_pumping(&svc, slow.clone(), &mut results));
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                let mut index = HashMap::new();
+                for (k, spec) in specs.iter().enumerate() {
+                    index.insert(submit_pumping(&svc, spec.clone(), &mut results), k);
+                }
+                while results.len() < workers + specs.len() {
+                    results.push(svc.recv().expect("all jobs complete"));
+                }
+                let mut fused = 0usize;
+                for r in &results {
+                    let out = r
+                        .output
+                        .as_ref()
+                        .unwrap_or_else(|e| panic!("{cell}: {} failed: {e}", r.id));
+                    let want = match index.get(&r.id) {
+                        Some(&k) => {
+                            fused += usize::from(k < small && r.batched);
+                            &refs[k]
+                        }
+                        None => {
+                            assert!(slow_ids.contains(&r.id), "{cell}: unknown {}", r.id);
+                            &slow_ref
+                        }
+                    };
+                    assert_eq!(out.matching().unwrap(), want, "{cell}: {}", r.id);
+                }
+                if max_batch >= 2 * workers {
+                    assert!(fused >= 2, "{cell}: queued same-key jobs never fused");
+                } else {
+                    assert_eq!(fused, 0, "{cell}: a share of one job fused");
+                }
+                svc.shutdown();
+            }
+        }
+    }
+}
+
+#[test]
+fn oversized_match3_windows_fail_typed() {
+    // A window of 2^j labels overflows `u32` arithmetic from j = 30 on
+    // (j ≥ 32 overflows the shift itself). Each must come back as a
+    // too-large table, never a panic or an attempt to build the table.
+    let list = random_list(4096, 30);
+    let svc = MatchService::start(ServiceConfig::default());
+    let too_large = |e: &RunnerError| {
+        matches!(
+            e,
+            RunnerError::Match3(Match3Error::Table(TableError::TooLarge { .. }))
+        )
+    };
+    for j in [30, 31, 32, 40, u32::MAX] {
+        let config = Match3Config {
+            jump_rounds: Some(j),
+            ..Match3Config::default()
+        };
+        match Runner::new(Algorithm::Match3).config(config).try_run(&list) {
+            Err(e) if too_large(&e) => {}
+            other => panic!("j={j}: Runner returned {other:?}"),
+        }
+        let id = svc
+            .submit(JobSpec::new(Algorithm::Match3, list.clone()).config(config))
+            .unwrap();
+        let r = svc.recv().expect("job completes");
+        assert_eq!(r.id, id);
+        match &r.output {
+            Err(JobError::Failed(e)) if too_large(e) => {}
+            other => panic!("j={j}: service returned {other:?}"),
+        }
     }
     svc.shutdown();
 }

@@ -191,7 +191,8 @@ pub fn match1_batch_in(
 /// Step 3 is one traversal in list order: the previous node's label
 /// *is* the predecessor label [`is_cut`] needs, so there is no pred
 /// inversion; it writes `stop[v] = suc v`, or [`NIL`] at a cut node and
-/// at the tail. Step 4 then chains [`walk_sublist`] from the head: each
+/// at the tail, and never cuts the pointer into the tail, so no re-add
+/// is needed. Step 4 then chains [`walk_sublist`] from the head: each
 /// sublist starts at the successor of the previous one's closing node.
 /// The test and the step function are the ones `from_labels_core` runs,
 /// so the matching is bit-identical to a solo run.
@@ -207,7 +208,7 @@ pub(crate) fn finish_job(list: &LinkedList, labels: &[u8], stop: &mut [NodeId]) 
                 break;
             }
             w => {
-                let cut = is_cut(prev, lv, labels[w as usize]);
+                let cut = is_cut(prev, lv, labels[w as usize]) && next[w as usize] != NIL;
                 stop[v as usize] = if cut { NIL } else { w };
                 prev = Some(lv);
                 v = w;
@@ -217,7 +218,7 @@ pub(crate) fn finish_job(list: &LinkedList, labels: &[u8], stop: &mut [NodeId]) 
     let mut mask = vec![false; list.len()];
     let mut h = list.head();
     while h != NIL {
-        let last = walk_sublist(stop, next, h, true, &mut |v, bit| mask[v as usize] = bit);
+        let last = walk_sublist(stop, h, true, &mut |v, bit| mask[v as usize] = bit);
         h = next[last as usize];
     }
     Matching::from_mask_unchecked(list, mask)

@@ -93,13 +93,14 @@ pub fn match2_native_work(n: u64, rounds: u32) -> u64 {
 }
 
 /// Exact work units of the native Match3 pipeline: `n` per crunch
-/// round, two passes per pointer-jump round (concatenate + jump), one
-/// probe pass, the finisher's two passes (cut and walk).
+/// round, two passes per stored pointer-jump round (window, jump
+/// pointer), one pass for the last round with the probe fused in, the
+/// finisher's two passes (cut and walk).
 pub fn match3_native_work(n: u64, crunch_rounds: u32, jump_rounds: u32) -> u64 {
     if n < 2 {
         return 0;
     }
-    n * (u64::from(crunch_rounds) + 2 * u64::from(jump_rounds) + 3)
+    n * (u64::from(crunch_rounds) + 2 * u64::from(jump_rounds) + 1)
 }
 
 /// Exact work units of the native Match4 pipeline with `i`

@@ -13,15 +13,18 @@
 //!   pairwise non-adjacent (two adjacent local minima are impossible),
 //!   so the re-adds never conflict; this closes the maximality gap at
 //!   sublist boundaries that the paper's prose leaves implicit. The
-//!   oracle [`from_labels`] re-adds in a separate parallel pass. The
-//!   production body writes step 3 as a stop-successor array
-//!   (`stop[v] = suc v`, or [`NIL`] at a cut node and at the tail), so a
-//!   walk step gathers one array, and decides each re-add at the step
-//!   that closes the sublist ending at the deleted pointer
-//!   (`walk_step`). Both production drivers — `from_labels_core` for
-//!   Match1 and Match3, which walks several sublists per worker at once
-//!   so that their cache misses overlap, and the fused batch's per-job
-//!   finisher — share that step function and the step-3 test `is_cut`.
+//!   oracle [`from_labels`] re-adds in a separate parallel pass. Only
+//!   the pointer into the tail can be re-added: any other deleted
+//!   pointer leads into a sublist whose first pointer is added. So the
+//!   production body never cuts the pointer into the tail, and needs no
+//!   re-add at all: the walk simply runs on into the tail. It writes
+//!   step 3 as a stop-successor array (`stop[v] = suc v`, or [`NIL`] at
+//!   a cut node and at the tail), so a walk step gathers one array and
+//!   marks by offset parity alone (`walk_step`). Both production
+//!   drivers — `from_labels_core` for Match1 and Match3, which walks
+//!   several sublists per worker at once so that their cache misses
+//!   overlap, and the fused batch's per-job finisher — share that step
+//!   function and the step-3 test `is_cut`.
 //! * **the greedy set sweep of Match2 step 3** ([`greedy_by_sets`]):
 //!   given any matching partition, process the sets one at a time; within
 //!   a set, add every pointer whose endpoints are both free — legal in
@@ -36,6 +39,7 @@ use parmatch_list::{cut::walk_sublists, LinkedList, NodeId, NIL};
 use rayon::prelude::*;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Match1 step 3: the cut mask. `cut[v]` ⇔ node `v` is a strict local
 /// minimum of the label sequence, with the head's missing predecessor
@@ -114,7 +118,8 @@ pub fn from_labels(list: &LinkedList, labels: &[Word]) -> Matching {
 /// local minimum, given its predecessor's label (`None` when `v` has no
 /// predecessor, read as `+∞`), its own label and its successor's?
 /// Callers ask only about nodes with a successor: the tail has no
-/// pointer to delete.
+/// pointer to delete. The production drivers keep a cut pointer that
+/// leads into the tail (see [`walk_step`]).
 #[inline]
 pub(crate) fn is_cut(prev_label: Option<u8>, label_v: u8, label_suc: u8) -> bool {
     prev_label.is_none_or(|p| p > label_v) && label_suc > label_v
@@ -128,29 +133,22 @@ const LANES: usize = 4;
 /// array (`stop[v] = suc v`, or [`NIL`] when `v` is a cut node or the
 /// tail): store `<v, suc v>`'s mark through `set` and return `stop[v]`,
 /// the walk's next node ([`NIL`] when `v` closes its sublist). `even`
-/// is `v`'s offset parity within the sublist.
+/// is `v`'s offset parity within the sublist. A node is marked iff its
+/// offset is even and it does not close its sublist.
 ///
-/// A node inside the sublist is marked iff its offset is even. The
-/// closing node `v` is marked iff the walk ended on an even offset (so
-/// `v` stayed free) and `suc v` is the tail: that is the re-add of the
-/// deleted pointer `<v, suc v>`. A cut never follows a cut when
-/// adjacent labels are distinct, so any other `suc v` starts a sublist
-/// whose first pointer is marked. Every node lies in exactly one
-/// sublist, so every node gets exactly one store.
+/// There is no re-add, because the pointer into the tail is never cut:
+/// a walk that reaches the closing node `v` of the paper's sublist
+/// before the tail goes on into the tail at `v`'s parity. So `v` is
+/// marked exactly when the oracle's re-add of `<v, tail>` fires (the
+/// walk ended on an even offset, so `v` stayed free), and the tail,
+/// which has no pointer, is never marked. A cut never follows a cut
+/// when adjacent labels are distinct, so any other cut pointer leads
+/// into a sublist whose first pointer is marked. Every node lies in
+/// exactly one sublist, so every node gets exactly one store.
 #[inline(always)]
-fn walk_step(
-    stop: &[NodeId],
-    next: &[NodeId],
-    v: NodeId,
-    even: bool,
-    set: &mut impl FnMut(NodeId, bool),
-) -> NodeId {
+fn walk_step(stop: &[NodeId], v: NodeId, even: bool, set: &mut impl FnMut(NodeId, bool)) -> NodeId {
     let s = stop[v as usize];
-    let readd = || match next[v as usize] {
-        NIL => false,
-        w => next[w as usize] == NIL,
-    };
-    set(v, even && (s != NIL || readd()));
+    set(v, even && s != NIL);
     s
 }
 
@@ -159,13 +157,12 @@ fn walk_step(
 #[inline]
 pub(crate) fn walk_sublist(
     stop: &[NodeId],
-    next: &[NodeId],
     mut v: NodeId,
     mut even: bool,
     set: &mut impl FnMut(NodeId, bool),
 ) -> NodeId {
     loop {
-        match walk_step(stop, next, v, even, set) {
+        match walk_step(stop, v, even, set) {
             NIL => return v,
             s => {
                 v = s;
@@ -206,7 +203,7 @@ fn walk_sublists_lanes(
     // stays empty, and the drain below walks the rest.
     'rounds: while cur[LANES - 1] != NIL {
         for i in 0..LANES {
-            match walk_step(stop, next, cur[i], even[i], set) {
+            match walk_step(stop, cur[i], even[i], set) {
                 NIL => match starts.next() {
                     Some(h) => {
                         cur[i] = h;
@@ -226,7 +223,7 @@ fn walk_sublists_lanes(
     }
     for (&v, &e) in cur.iter().zip(&even) {
         if v != NIL {
-            walk_sublist(stop, next, v, e, set);
+            walk_sublist(stop, v, e, set);
         }
     }
 }
@@ -287,6 +284,10 @@ impl Iterator for SublistStarts<'_> {
     }
 }
 
+/// Why locking the cut pass's tail list cannot fail: its holder only
+/// pushes a node id.
+const TAILS_LOCK: &str = "no holder of the tail list panics";
+
 /// Match1 steps 3–4 as the production pipeline runs them, for Match1
 /// and Match3: the labels are the relabel kernel's bytes, the
 /// predecessor array is taken precomputed, and the stop-successor array
@@ -294,29 +295,31 @@ impl Iterator for SublistStarts<'_> {
 ///
 /// * the chunked cut pass streams `v` in order and writes
 ///   `stop[v] = suc v`, or [`NIL`] when [`is_cut`] deletes `<v, suc v>`
-///   or `v` is the tail;
+///   or `v` is the tail; it records every tail `t` it meets and then
+///   restores `stop[pred t] = t`, so the pointer into a tail is never
+///   cut;
 /// * the walk pass scans each chunk for its sublist starts and walks
 ///   them [`LANES`] at a time ([`walk_sublists_lanes`]). Each step
-///   gathers only `stop[v]`, and the walker decides the re-adds itself,
-///   so its marks land straight in the output mask, which becomes the
-///   matching in place.
+///   gathers only `stop[v]` and marks by parity ([`walk_step`]), so the
+///   marks land straight in the output mask, which becomes the matching
+///   in place.
 ///
 /// Each node lies in one sublist, so every mask slot has one writer
 /// (debug builds count the nodes walked against `n`), and every mark
 /// sits on a real pointer by construction. The matching is
 /// bit-identical to [`from_labels`], whose separate re-add pass is the
-/// oracle for the walker's.
+/// oracle for the walk into the tail.
 ///
 /// Once the matching is built, the `finish` span is opened and closed
 /// for every observer. An auditing observer (`O::ENABLED`) also gets a
-/// sequential replay of the sublist structure left in `stop`: cut
-/// pointers, sublist count, nodes walked (every node lies in exactly
-/// one sublist, so this totals `n`), walk marks vs. re-adds
-/// (`fixup_additions`: the walker marks a cut node only as a re-add, so
-/// these are the matched cut pointers), and the longest sublist audited
-/// against the paper's `2·bound − 1` (a sublist has no interior local
-/// minimum, so its labels ascend then descend — at most `bound` nodes
-/// each way, sharing the peak).
+/// sequential replay of the paper's sublists, step 3 recounted from the
+/// labels (the pointer into the tail included): cut pointers, sublist
+/// count, nodes walked (every node lies in exactly one sublist, so this
+/// totals `n`), walk marks vs. re-adds (`fixup_additions`: the matched
+/// cut pointers, which the oracle adds in its re-add pass), and the
+/// longest sublist audited against the paper's `2·bound − 1` (a sublist
+/// has no interior local minimum, so its labels ascend then descend — at
+/// most `bound` nodes each way, sharing the peak).
 pub(crate) fn from_labels_core<O: Observer>(
     list: &LinkedList,
     labels: &[u8],
@@ -334,8 +337,12 @@ pub(crate) fn from_labels_core<O: Observer>(
     let next = list.next_array();
 
     // Step 3: the local-minima cut, as stop successors, chunked over
-    // nodes.
+    // nodes. The pass records the tails it meets, and the pointer into
+    // each tail is then restored: the walk runs on into the tail instead
+    // of re-adding that pointer. (Testing `next[suc v]` at every cut node
+    // instead costs a random gather per cut.)
     stop.resize(n, NIL);
+    let tails = Mutex::new(Vec::new());
     stop.par_chunks_mut(CHUNK)
         .enumerate()
         .for_each(|(ci, chunk)| {
@@ -343,7 +350,10 @@ pub(crate) fn from_labels_core<O: Observer>(
             for (i, slot) in chunk.iter_mut().enumerate() {
                 let v = base + i;
                 *slot = match next[v] {
-                    NIL => NIL,
+                    NIL => {
+                        tails.lock().expect(TAILS_LOCK).push(v as NodeId);
+                        NIL
+                    }
                     w => {
                         let prev = match pred[v] {
                             NIL => None,
@@ -358,9 +368,14 @@ pub(crate) fn from_labels_core<O: Observer>(
                 };
             }
         });
+    for t in tails.into_inner().expect(TAILS_LOCK) {
+        let u = pred[t as usize];
+        if u != NIL {
+            stop[u as usize] = t;
+        }
+    }
 
-    // Step 4: walk the sublists that start in each chunk, re-adds
-    // included.
+    // Step 4: walk the sublists that start in each chunk.
     let stop: &[NodeId] = stop;
     let mask: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
     let walked = AtomicUsize::new(0);
@@ -384,28 +399,42 @@ pub(crate) fn from_labels_core<O: Observer>(
     let m = Matching::from_mask_unchecked(list, mask);
     obs.enter("finish");
     if O::ENABLED {
-        audit_sublists(list, pred, stop, &m, bound, obs);
+        audit_sublists(list, labels, pred, &m, bound, obs);
     }
     obs.exit();
     m
 }
 
-/// The `finish` audit: replay the sublists [`from_labels_core`] walked
-/// and record their shape on the open span. Cut nodes are read back off
-/// `stop`: `v` is cut iff `stop[v]` is [`NIL`] but `next[v]` is not.
+/// The `finish` audit: replay the paper's sublists and record their
+/// shape on the open span. Step 3 is recounted from the labels with
+/// [`is_cut`], so a cut pointer into the tail, which the walk keeps,
+/// counts as a cut and its match as a re-add.
 fn audit_sublists<O: Observer>(
     list: &LinkedList,
+    labels: &[u8],
     pred: &[NodeId],
-    stop: &[NodeId],
     m: &Matching,
     bound: Word,
     obs: &mut O,
 ) {
     let next = list.next_array();
-    let is_cut = |v: NodeId| stop[v as usize] == NIL && next[v as usize] != NIL;
-    let cut_pointers = (0..list.len() as NodeId).filter(|&v| is_cut(v)).count() as u64;
+    let cut: Vec<bool> = (0..list.len())
+        .into_par_iter()
+        .with_min_len(CHUNK)
+        .map(|v| match next[v] {
+            NIL => false,
+            w => {
+                let prev = match pred[v] {
+                    NIL => None,
+                    u => Some(labels[u as usize]),
+                };
+                is_cut(prev, labels[v], labels[w as usize])
+            }
+        })
+        .collect();
+    let cut_pointers = cut.iter().filter(|&&c| c).count() as u64;
     let readds = (0..list.len() as NodeId)
-        .filter(|&v| is_cut(v) && m.contains_tail(v))
+        .filter(|&v| cut[v as usize] && m.contains_tail(v))
         .count() as u64;
     let mut sublists = 0u64;
     let mut walk_nodes = 0u64;
@@ -413,7 +442,7 @@ fn audit_sublists<O: Observer>(
     for h in 0..list.len() as NodeId {
         let starts = match pred[h as usize] {
             NIL => true,
-            u => is_cut(u),
+            u => cut[u as usize],
         };
         if !starts {
             continue;
@@ -421,9 +450,9 @@ fn audit_sublists<O: Observer>(
         sublists += 1;
         let mut v = h;
         let mut len = 1u64;
-        while stop[v as usize] != NIL {
+        while !cut[v as usize] && next[v as usize] != NIL {
             len += 1;
-            v = stop[v as usize];
+            v = next[v as usize];
         }
         walk_nodes += len;
         max_sublist = max_sublist.max(len);
@@ -664,9 +693,10 @@ mod tests {
     /// `n = 2..=9`, laid out sequentially and reversed, through both
     /// production drivers — `from_labels_core` and the fused batch's
     /// per-job body — against the oracle, bit for bit. Small alphabets
-    /// give short sublists, so the walker's tail re-add (a sublist that
-    /// leaves its cut node free right before a one-node tail sublist)
-    /// occurs many times over, which random lists barely exercise.
+    /// give short sublists, so the oracle's tail re-add (a sublist that
+    /// leaves its cut node free right before a one-node tail sublist,
+    /// which the walk reaches by running on into the tail) occurs many
+    /// times over, which random lists barely exercise.
     #[test]
     fn walker_drivers_match_oracle_exhaustively() {
         use crate::batch::finish_job;
@@ -768,8 +798,8 @@ mod tests {
     /// adjacent-distinct labels over `{0, 1, 2, 3}`: short sublists,
     /// every lane refilled hundreds of times within a chunk, and walks
     /// that cross chunk boundaries. (Only the sublist before a one-node
-    /// tail sublist can re-add, so the exhaustive test above is the one
-    /// that exercises re-adds in bulk.) `from_labels_core` must equal
+    /// tail sublist can need a re-add, so the exhaustive test above is
+    /// the one that exercises the walk into the tail in bulk.) `from_labels_core` must equal
     /// the oracle bit for bit at pools 1, 2 and 8, and its audit must
     /// count every node walked once.
     #[test]

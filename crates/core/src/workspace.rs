@@ -9,7 +9,7 @@
 //! is resized (a no-op when the size is unchanged) and refilled in
 //! parallel. The Match1 steps 3–4 finisher (Match1, Match3, the fused
 //! batch) keeps no buffer of its own: its stop-successor array overwrites
-//! `next_cyc` once relabel or Match3's first jump round has read it, and
+//! `next_cyc` once relabel or Match3's jump rounds have read it, and
 //! its sublist walk writes its marks straight into the mask that becomes
 //! the output matching.
 //!
@@ -50,8 +50,8 @@ pub(crate) const CHUNK: usize = 1 << 13;
 #[derive(Debug, Default)]
 pub struct Workspace {
     /// Cached cyclic-successor array (branch-free `suc`). Once relabel
-    /// (Match1, the fused batch) or the first jump round (Match3) has
-    /// read it, the Match1 steps 3–4 finisher overwrites it with the
+    /// (Match1, the fused batch) or the jump rounds (Match3) have read
+    /// it, the Match1 steps 3–4 finisher overwrites it with the
     /// stop-successor array its sublist walk runs on.
     pub(crate) next_cyc: Vec<NodeId>,
     /// Scatter target for predecessor inversion.
@@ -59,17 +59,23 @@ pub struct Workspace {
     /// Plain predecessor array (copied out of `pred_atomic`).
     pub(crate) pred: Vec<NodeId>,
     /// Byte label double buffer A (holds the result after relabel
-    /// rounds, and Match3's post-probe labels).
+    /// rounds).
     pub(crate) labels_a: Vec<u8>,
-    /// Byte label double buffer B.
+    /// Byte label double buffer B (holds Match3's post-probe labels: its
+    /// last jump round gathers from A, or from the windows, and probes
+    /// the table straight into B).
     pub(crate) labels_b: Vec<u8>,
-    /// Match3 label-window double buffer A: the first jump round widens
-    /// the byte labels into these concatenated `Word` windows, which the
-    /// table probe then reads. The only `Word` label buffers left.
-    pub(crate) win_a: Vec<Word>,
+    /// Match3 label-window double buffer A: each jump round but the last
+    /// stores its concatenated window here, at most 16 bits wide (the
+    /// table index is below 32 bits and a stored window is at most half
+    /// of it). The first stored round writes A; a later one reads A,
+    /// writes B and swaps, so runs of at most two jump rounds (the
+    /// default) never size B.
+    pub(crate) win_a: Vec<u16>,
     /// Match3 label-window double buffer B.
-    pub(crate) win_b: Vec<Word>,
-    /// Match3 jump-pointer double buffer A.
+    pub(crate) win_b: Vec<u16>,
+    /// Match3 jump-pointer double buffer A (`nxt[v] = nx[nx[v]]`), which
+    /// the round after the one that wrote it jumps from.
     pub(crate) nxt_a: Vec<NodeId>,
     /// Match3 jump-pointer double buffer B.
     pub(crate) nxt_b: Vec<NodeId>,

@@ -1,5 +1,6 @@
 //! Exhaustive small-instance sweep: every permutation layout of up to
-//! 7 nodes (5,912 lists) through the PRAM matchers,
+//! 7 nodes (5,912 lists) through the PRAM matchers (Match3 with one
+//! jump round, and with two up to 6 nodes),
 //! asserting **bit-identity** with their rayon-native twins — not just
 //! maximality. The seed suite's exhaustive test stops at ≤ 6 nodes and
 //! only checks maximality; identity on every tiny instance is what
@@ -38,6 +39,10 @@ fn every_list_up_to_7_nodes_pram_equals_native() {
         jump_rounds: Some(1),
         ..Match3Config::default()
     };
+    let wide = Match3Config {
+        jump_rounds: Some(2),
+        ..Match3Config::default()
+    };
     let mut checked = 0usize;
     for n in 2..=7usize {
         for perm in permutations(n) {
@@ -49,13 +54,23 @@ fn every_list_up_to_7_nodes_pram_equals_native() {
             assert_eq!(&pram2.matching, native2.matching(), "match2 on {perm:?}");
             verify::assert_maximal_matching(&list, &pram2.matching);
 
-            let native3 = Runner::new(Algorithm::Match3)
-                .config(lean)
-                .try_run(&list)
-                .unwrap_or_else(|e| panic!("match3 {perm:?}: {e}"));
-            let pram3 = match3_pram(&list, 2, lean, ExecMode::Checked)
-                .unwrap_or_else(|e| panic!("match3_pram {perm:?}: {e}"));
-            assert_eq!(&pram3.matching, native3.matching(), "match3 on {perm:?}");
+            // Two jump rounds store one window before the probe; up to 6
+            // nodes that window and the probed one wrap past the cycle.
+            let match3_configs: &[Match3Config] = if n <= 6 { &[lean, wide] } else { &[lean] };
+            for &cfg in match3_configs {
+                let native3 = Runner::new(Algorithm::Match3)
+                    .config(cfg)
+                    .try_run(&list)
+                    .unwrap_or_else(|e| panic!("match3 {perm:?}: {e}"));
+                let pram3 = match3_pram(&list, 2, cfg, ExecMode::Checked)
+                    .unwrap_or_else(|e| panic!("match3_pram {perm:?}: {e}"));
+                assert_eq!(
+                    &pram3.matching,
+                    native3.matching(),
+                    "match3 ({:?} jumps) on {perm:?}",
+                    cfg.jump_rounds
+                );
+            }
 
             let native4 = Runner::new(Algorithm::Match4).run(&list);
             let pram4 = match4_pram(&list, 2, None, CoinVariant::Msb, ExecMode::Checked)

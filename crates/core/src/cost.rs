@@ -82,14 +82,13 @@ pub fn match1_native_work(n: u64) -> u64 {
 
 /// Exact work units of the native Match2 pipeline with `rounds`
 /// partition rounds on a single-tail list: `n` per round, set
-/// projection `n`, counting sort `2·(n−1)` over the `n − 1` real
-/// pointers (histogram + placement), sweep `n − 1`, final mask `n` —
-/// which regroups to `n·(rounds + 3) + 2·(n − 1)`.
+/// projection `n`, greedy histogram `n`, and placement + sweep over the
+/// `n − 1` real pointers — `n·(rounds + 2) + 2·(n − 1)`.
 pub fn match2_native_work(n: u64, rounds: u32) -> u64 {
     if n < 2 {
         return 0;
     }
-    n * (u64::from(rounds) + 3) + 2 * (n - 1)
+    n * (u64::from(rounds) + 2) + 2 * (n - 1)
 }
 
 /// Exact work units of the native Match3 pipeline: `n` per crunch
@@ -105,11 +104,10 @@ pub fn match3_native_work(n: u64, crunch_rounds: u32, jump_rounds: u32) -> u64 {
 
 /// Exact work units of the native Match4 pipeline with `i`
 /// partition rounds on a single-tail list. With `x = ` [`cascade_bound`]
-/// `(n, i)` rows and `y = ⌈n/x⌉` columns: `i·n` relabel, `10n` of
-/// linear passes (set projection, census, the grid's five passes, the
-/// color-class projection, greedy histogram and final mask),
-/// `n·⌈log₂ x⌉` per-column sorting, `(3x − 1)·y` walkdown lockstep
-/// work, and `2·(n − 1)` greedy placement + sweep.
+/// `(n, i)` rows and `y = ⌈n/x⌉` columns: `i·n` relabel, `8n` of
+/// linear passes (grid keying, census, the grid's five passes and the
+/// greedy histogram), `n·⌈log₂ x⌉` per-column sorting, `(3x − 1)·y`
+/// walkdown lockstep work, and `2·(n − 1)` greedy placement + sweep.
 pub fn match4_native_work(n: u64, i: u32) -> u64 {
     if n < 2 {
         return 0;
@@ -117,7 +115,7 @@ pub fn match4_native_work(n: u64, i: u32) -> u64 {
     let x = cascade_bound(n, i);
     let lx = u64::from(ilog2_ceil(x).max(1));
     let y = n.div_ceil(x);
-    n * (u64::from(i) + 10 + lx) + (3 * x - 1) * y + 2 * (n - 1)
+    n * (u64::from(i) + 8 + lx) + (3 * x - 1) * y + 2 * (n - 1)
 }
 
 /// The `c` of the native pipelines' `c·n` work, rounded up: the paper's

@@ -466,10 +466,12 @@ fn audit_sublists<O: Observer>(
     obs.counter("matched", m.len() as u64);
 }
 
-/// Zero-allocation, parallel variant of [`greedy_by_sets`] (ascending
-/// set order only) that the production pipelines run. Marks only ever
-/// land on bucketed pointer tails, so the matching is built without a
-/// second validation pass.
+/// Parallel variant of [`greedy_by_sets`] (ascending set order only)
+/// that the production pipelines run, keyed by byte set numbers (`sets[v]`
+/// is the set of `<v, suc v>`, [`NO_POINTER`] at the tail). Its only
+/// allocation is the output mask: the sweep marks it as atomics, and it
+/// becomes the matching in place. Marks only ever land on bucketed
+/// pointer tails, so the matching is built without a validation pass.
 ///
 /// Bucketing is a chunked counting sort: a per-chunk × per-set histogram,
 /// a (tiny, `chunks × bound`) sequential prefix pass turning counts into
@@ -488,10 +490,9 @@ fn audit_sublists<O: Observer>(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn greedy_core<O: Observer>(
     list: &LinkedList,
-    sets: &[Word],
+    sets: &[u8],
     bound: Word,
     done: &mut Vec<AtomicBool>,
-    greedy_mask: &mut Vec<AtomicBool>,
     bucket_nodes: &mut Vec<AtomicU32>,
     hist: &mut Vec<usize>,
     set_starts: &mut Vec<usize>,
@@ -502,7 +503,6 @@ pub(crate) fn greedy_core<O: Observer>(
     let b = bound as usize;
     assert!(b >= 1, "set bound must be positive");
     reset_bools(done, n);
-    reset_bools(greedy_mask, n);
     bucket_nodes.resize_with(n, || AtomicU32::new(NIL));
 
     let nchunks = n.div_ceil(CHUNK).max(1);
@@ -513,7 +513,7 @@ pub(crate) fn greedy_core<O: Observer>(
         let hi = ((ci + 1) * CHUNK).min(n);
         for &s in &sets[lo..hi] {
             if s != NO_POINTER {
-                row[s as usize] += 1;
+                row[usize::from(s)] += 1;
             }
         }
     });
@@ -542,14 +542,15 @@ pub(crate) fn greedy_core<O: Observer>(
             let hi = ((ci + 1) * CHUNK).min(n);
             for (off, &s) in sets[lo..hi].iter().enumerate() {
                 if s != NO_POINTER {
-                    bn[cursors[s as usize]].store((lo + off) as NodeId, Ordering::Relaxed);
-                    cursors[s as usize] += 1;
+                    let s = usize::from(s);
+                    bn[cursors[s]].store((lo + off) as NodeId, Ordering::Relaxed);
+                    cursors[s] += 1;
                 }
             }
         });
 
     let done_ref: &[AtomicBool] = done;
-    let mask_ref: &[AtomicBool] = greedy_mask;
+    let mask: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
     for s in 0..b {
         bucket_nodes[set_starts[s]..set_starts[s + 1]]
             .par_iter()
@@ -560,16 +561,12 @@ pub(crate) fn greedy_core<O: Observer>(
                 if !done_ref[v].load(Ordering::Relaxed) && !done_ref[head].load(Ordering::Relaxed) {
                     done_ref[v].store(true, Ordering::Relaxed);
                     done_ref[head].store(true, Ordering::Relaxed);
-                    mask_ref[v].store(true, Ordering::Relaxed);
+                    mask[v].store(true, Ordering::Relaxed);
                 }
             });
     }
-    let final_mask: Vec<bool> = (0..n)
-        .into_par_iter()
-        .with_min_len(CHUNK)
-        .map(|v| mask_ref[v].load(Ordering::Relaxed))
-        .collect();
-    let m = Matching::from_mask_unchecked(list, final_mask);
+    let mask: Vec<bool> = mask.into_iter().map(AtomicBool::into_inner).collect();
+    let m = Matching::from_mask_unchecked(list, mask);
     obs.enter("sweep");
     if O::ENABLED {
         let bucketed = set_starts[b] as u64;

@@ -21,7 +21,6 @@ use crate::obs::Observer;
 use crate::partition::{PointerSets, NO_POINTER};
 use crate::workspace::{Workspace, CHUNK};
 use crate::CoinVariant;
-use parmatch_bits::Word;
 use parmatch_list::{LinkedList, NodeId, NIL};
 use rayon::prelude::*;
 
@@ -37,8 +36,8 @@ pub struct Match2Output {
 /// Match2 with `rounds` applications of `f` for step 1 (the paper's
 /// `log^(2) n`-set partition corresponds to `rounds = 2`): byte-label
 /// relabel rounds, chunked counting-sort bucketing and a per-set parallel
-/// sweep, all in the buffers of `ws` (the returned partition is the only
-/// steady-state allocation).
+/// sweep, all in the buffers of `ws` (the returned byte partition and
+/// matching are the only steady-state allocations).
 ///
 /// `obs` sees a `match2` span around the `relabel` and `sweep` phases.
 /// An auditing observer also gets the distinct matching-set count
@@ -58,9 +57,7 @@ pub(crate) fn run<O: Observer>(
     assert!(rounds >= 1, "at least one partition round required");
     let n = list.len();
     if n < 2 {
-        // an empty partition placeholder is not constructible for tiny
-        // lists; synthesize a trivial one by construction on a 2-list is
-        // impossible here, so short-circuit with an empty set array.
+        // No pointer to partition or match.
         return Match2Output {
             matching: Matching::empty(n),
             partition: PointerSets::trivial(n),
@@ -72,7 +69,6 @@ pub(crate) fn run<O: Observer>(
         labels_a,
         labels_b,
         done,
-        greedy_mask,
         bucket_nodes,
         hist,
         set_starts,
@@ -93,14 +89,14 @@ pub(crate) fn run<O: Observer>(
         obs,
     );
     let labels: &[u8] = labels_a;
-    let set: Vec<Word> = (0..n)
+    let set: Vec<u8> = (0..n)
         .into_par_iter()
         .with_min_len(CHUNK)
         .map(|v| {
             if list.next_raw(v as NodeId) == NIL {
                 NO_POINTER
             } else {
-                Word::from(labels[v])
+                labels[v]
             }
         })
         .collect();
@@ -113,19 +109,17 @@ pub(crate) fn run<O: Observer>(
         partition.as_slice(),
         bound,
         done,
-        greedy_mask,
         bucket_nodes,
         hist,
         set_starts,
         obs,
     );
     if O::ENABLED {
-        // n per relabel round, set-projection n, counting sort 2n
-        // (histogram + placement of the bucketed pointers, ≤ n each),
-        // sweep over the bucketed pointers, final mask n.
+        // n per relabel round, set-projection n, greedy histogram n,
+        // placement and sweep over the bucketed pointers (≤ n each).
         let bucketed = *set_starts.last().unwrap_or(&0) as u64;
-        let wu = n as u64 * (u64::from(rounds) + 3) + 2 * bucketed;
-        obs.bounded("work_units", wu, (u64::from(rounds) + 5) * n as u64 + 64);
+        let wu = n as u64 * (u64::from(rounds) + 2) + 2 * bucketed;
+        obs.bounded("work_units", wu, (u64::from(rounds) + 4) * n as u64 + 64);
         obs.counter("work_per_node_x100", wu * 100 / n as u64);
     }
     obs.exit();

@@ -30,7 +30,11 @@ use crate::CoinVariant;
 use parmatch_bits::{ilog2_ceil, Word};
 use parmatch_list::{LinkedList, NodeId, NIL};
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::mem;
+use std::sync::atomic::AtomicU8;
+
+// Step 5 keys the greedy sweep by the walkdown colors as they stand.
+const _: () = assert!(UNCOLORED == NO_POINTER);
 
 /// Result of a Match4 run with the grid's vital signs.
 #[derive(Debug, Clone)]
@@ -90,12 +94,10 @@ pub(crate) fn run<O: Observer>(
         pred,
         labels_a,
         labels_b,
-        sets,
         grid_store,
         colors,
         walk_state,
         done,
-        greedy_mask,
         bucket_nodes,
         hist,
         set_starts,
@@ -175,52 +177,31 @@ pub(crate) fn run<O: Observer>(
         );
     }
     obs.exit();
-    let colors: &[AtomicU8] = colors;
     let r1 = walkdown1(grid, colors, obs);
     let r2 = walkdown2(grid, colors, walk_state, obs);
-    #[cfg(debug_assertions)]
-    {
-        let plain: Vec<u8> = colors.iter().map(|a| a.load(Ordering::Relaxed)).collect();
-        debug_assert!(crate::verify::coloring_is_proper(list, &plain, 3));
-    }
 
-    // Step 5: the 3 color classes are matching sets; sweep them greedily.
-    sets.resize(n, 0);
-    sets.par_chunks_mut(CHUNK)
-        .enumerate()
-        .for_each(|(ci, chunk)| {
-            let base = ci * CHUNK;
-            for (k, slot) in chunk.iter_mut().enumerate() {
-                let c = colors[base + k].load(Ordering::Relaxed);
-                *slot = if c == UNCOLORED {
-                    NO_POINTER
-                } else {
-                    Word::from(c)
-                };
-            }
-        });
-    let matching = greedy_core(
-        list,
-        sets,
-        3,
-        done,
-        greedy_mask,
-        bucket_nodes,
-        hist,
-        set_starts,
-        obs,
-    );
+    // Step 5: the 3 color classes are matching sets; sweep them greedily,
+    // keyed by the color bytes themselves (the tail's `UNCOLORED` is
+    // `NO_POINTER`). A panic inside the sweep drops the colors'
+    // allocation, which the next run's reset regrows.
+    let classes: Vec<u8> = mem::take(colors)
+        .into_iter()
+        .map(AtomicU8::into_inner)
+        .collect();
+    debug_assert!(crate::verify::coloring_is_proper(list, &classes, 3));
+    let matching = greedy_core(list, &classes, 3, done, bucket_nodes, hist, set_starts, obs);
+    *colors = classes.into_iter().map(AtomicU8::new).collect();
     let cols = grid.cols();
     if O::ENABLED {
         obs.bounded("walk_rounds", (r1 + r2) as u64, 3 * x as u64 - 1);
-        // relabel i·n; grid keying, census and color-class projection
-        // n each; grid build 5n + the per-column sorts; walk lockstep
-        // work (r1 + r2)·y; greedy histogram + final mask n each, plus
-        // placement and sweep over the bucketed pointers.
+        // relabel i·n; grid keying and census n each; grid build 5n +
+        // the per-column sorts; walk lockstep work (r1 + r2)·y; greedy
+        // histogram n, plus placement and sweep over the bucketed
+        // pointers.
         let lx = u64::from(ilog2_ceil(x as Word).max(1));
         let bucketed = *set_starts.last().unwrap_or(&0) as u64;
-        let wu = n as u64 * (u64::from(i) + 10 + lx) + ((r1 + r2) * cols) as u64 + 2 * bucketed;
-        obs.bounded("work_units", wu, (u64::from(i) + 16 + lx) * n as u64 + 256);
+        let wu = n as u64 * (u64::from(i) + 8 + lx) + ((r1 + r2) * cols) as u64 + 2 * bucketed;
+        obs.bounded("work_units", wu, (u64::from(i) + 14 + lx) * n as u64 + 256);
         obs.counter("work_per_node_x100", wu * 100 / n as u64);
     }
     obs.exit();

@@ -19,19 +19,26 @@ use parmatch_list::{LinkedList, NodeId, NIL};
 use rayon::prelude::*;
 
 /// A matching partition of a list's pointers.
+///
+/// Set numbers are bytes: Lemma 1 leaves at most `2⌈log n⌉ + 1 ≤ 65`
+/// sets after one round (a `NodeId` has 32 bits), and every later round
+/// and Match4's color classes leave fewer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PointerSets {
-    /// `set[v]` = set number of pointer `<v, suc(v)>`; `u64::MAX` for the
-    /// tail node (which has no outgoing pointer).
-    set: Vec<Word>,
-    /// Exclusive upper bound on set numbers.
+    /// `set[v]` = set number of pointer `<v, suc(v)>`; [`NO_POINTER`]
+    /// for the tail node (which has no outgoing pointer).
+    set: Vec<u8>,
+    /// Exclusive upper bound on set numbers, at most 255 (so no set
+    /// number aliases [`NO_POINTER`]).
     bound: Word,
     /// Relabel rounds used to produce the partition.
     rounds: u32,
 }
 
-/// Marker for "no outgoing pointer" in [`PointerSets::set_of`].
-pub const NO_POINTER: Word = Word::MAX;
+/// Marker for "no outgoing pointer" in [`PointerSets::set_of`]: the
+/// same byte as [`crate::walkdown::UNCOLORED`], so Match4's colors are
+/// set keys as they stand.
+pub const NO_POINTER: u8 = u8::MAX;
 
 impl PointerSets {
     /// Build the pointer partition from a labelling with ≥ 1 round:
@@ -40,7 +47,7 @@ impl PointerSets {
     /// # Panics
     ///
     /// Panics if `labels` has had no relabel round (addresses are not a
-    /// useful partition) or sizes mismatch.
+    /// useful partition), if sizes mismatch, or as [`Self::from_raw`].
     pub fn from_labels(list: &LinkedList, labels: &LabelSeq) -> Self {
         assert!(
             labels.rounds() >= 1,
@@ -48,21 +55,19 @@ impl PointerSets {
         );
         assert_eq!(list.len(), labels.labels().len(), "size mismatch");
         let ls = labels.labels();
-        let set: Vec<Word> = (0..list.len())
+        let set: Vec<u8> = (0..list.len())
             .into_par_iter()
             .map(|v| {
                 if list.next_raw(v as NodeId) == NIL {
                     NO_POINTER
                 } else {
-                    ls[v]
+                    ls[v] as u8
                 }
             })
             .collect();
-        Self {
-            set,
-            bound: labels.bound(),
-            rounds: labels.rounds(),
-        }
+        // `from_raw` rejects a bound above 255, so the narrowing above is
+        // exact whenever it returns.
+        Self::from_raw(set, labels.bound(), labels.rounds())
     }
 
     /// A partition over a degenerate list with no pointers: every slot
@@ -76,23 +81,28 @@ impl PointerSets {
     }
 
     /// Assemble a partition from a raw per-tail set array (tail slot
-    /// [`NO_POINTER`]) — used by Match4's color classes and the
-    /// table-based pipeline. Validity is the caller's obligation;
-    /// [`crate::verify::partition_is_valid`] checks it.
+    /// [`NO_POINTER`]), as Match2 does with its byte labels. Validity is
+    /// the caller's obligation; [`crate::verify::partition_is_valid`]
+    /// checks it.
     ///
     /// # Panics
     ///
-    /// Panics if any entry is neither [`NO_POINTER`] nor below `bound`.
-    pub fn from_raw(set: Vec<Word>, bound: Word, rounds: u32) -> Self {
+    /// Panics if `bound > 255` (set 255 would be [`NO_POINTER`]), or if
+    /// any entry is neither [`NO_POINTER`] nor below `bound`.
+    pub fn from_raw(set: Vec<u8>, bound: Word, rounds: u32) -> Self {
+        assert!(
+            bound <= Word::from(NO_POINTER),
+            "set bound {bound} exceeds 255: set numbers are bytes"
+        );
         if !set
             .par_iter()
             .with_min_len(CHUNK)
-            .all(|&s| s == NO_POINTER || s < bound)
+            .all(|&s| s == NO_POINTER || Word::from(s) < bound)
         {
             let (v, &s) = set
                 .iter()
                 .enumerate()
-                .find(|&(_, &s)| s != NO_POINTER && s >= bound)
+                .find(|&(_, &s)| s != NO_POINTER && Word::from(s) >= bound)
                 .expect("parallel check found an offender");
             panic!("set[{v}] = {s} out of bound {bound}");
         }
@@ -102,13 +112,13 @@ impl PointerSets {
     /// Set number of pointer `<v, suc(v)>`, or [`NO_POINTER`] if `v` is
     /// the list tail.
     #[inline]
-    pub fn set_of(&self, v: NodeId) -> Word {
+    pub fn set_of(&self, v: NodeId) -> u8 {
         self.set[v as usize]
     }
 
     /// The raw per-tail set array (tail node holds [`NO_POINTER`]).
     #[inline]
-    pub fn as_slice(&self) -> &[Word] {
+    pub fn as_slice(&self) -> &[u8] {
         &self.set
     }
 
@@ -130,7 +140,7 @@ impl PointerSets {
         let mut seen = vec![false; self.bound as usize];
         for &s in &self.set {
             if s != NO_POINTER {
-                seen[s as usize] = true;
+                seen[usize::from(s)] = true;
             }
         }
         seen.iter().filter(|&&b| b).count()
@@ -141,7 +151,7 @@ impl PointerSets {
         let mut hist = vec![0usize; self.bound as usize];
         for &s in &self.set {
             if s != NO_POINTER {
-                hist[s as usize] += 1;
+                hist[usize::from(s)] += 1;
             }
         }
         hist
@@ -257,6 +267,30 @@ mod tests {
             ps.as_slice().iter().filter(|&&s| s == NO_POINTER).count(),
             1
         );
+    }
+
+    #[test]
+    fn byte_sets_round_trip_the_labels() {
+        let list = random_list(1 << 16, 9);
+        let labels = LabelSeq::initial(&list, CoinVariant::Msb).relabel_k(&list, 1);
+        let ps = pointer_sets(&list, 1, CoinVariant::Msb);
+        assert_eq!(ps.bound(), labels.bound());
+        for v in 0..list.len() as NodeId {
+            match list.next_raw(v) {
+                NIL => assert_eq!(ps.set_of(v), NO_POINTER),
+                _ => assert_eq!(
+                    Word::from(ps.set_of(v)),
+                    labels.labels()[v as usize],
+                    "node {v}"
+                ),
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 255")]
+    fn from_raw_rejects_a_bound_that_reaches_no_pointer() {
+        PointerSets::from_raw(vec![0, NO_POINTER], 256, 1);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use crate::matching::Matching;
 use crate::partition::{PointerSets, NO_POINTER};
 use crate::workspace::CHUNK;
+use parmatch_bits::Word;
 use parmatch_list::{LinkedList, NodeId, NIL};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -71,7 +72,7 @@ pub fn partition_is_valid(list: &LinkedList, ps: &PointerSets) -> bool {
             return ps.set_of(v) == NO_POINTER;
         }
         let s = ps.set_of(v);
-        if s == NO_POINTER || s >= ps.bound() {
+        if s == NO_POINTER || Word::from(s) >= ps.bound() {
             return false;
         }
         // successor pointer <head, suc(head)>, if any, must differ

@@ -142,17 +142,9 @@ impl Grid {
     /// `x < ps.bound()` (set keys must fit below the row count for
     /// Lemma 7's schedule to terminate).
     pub fn new(list: &LinkedList, ps: &PointerSets, x: usize) -> Self {
-        // Every set number is below `ps.bound()`, which `new_in` checks
-        // against `x ≤ 255` before any key is used, so the narrowing is
-        // exact whenever the build goes ahead.
-        let labels: Vec<u8> = ps
-            .as_slice()
-            .iter()
-            .map(|&s| if s == NO_POINTER { 0 } else { s as u8 })
-            .collect();
         Self::new_in(
             list,
-            &labels,
+            ps.as_slice(),
             ps.bound(),
             x,
             &list.pred_array(),
@@ -509,7 +501,7 @@ pub fn color_pointers_reference(list: &LinkedList, ps: &PointerSets, x: usize) -
     let n = list.len();
     let key = |v: usize| match ps.set_of(v as NodeId) {
         NO_POINTER => (x - 1) as Word,
-        s => s,
+        s => Word::from(s),
     };
     let columns: Vec<Vec<usize>> = (0..n)
         .step_by(x)

@@ -7,21 +7,26 @@
 //! matching — every per-node scratch array (labels, successor/predecessor
 //! caches, walkdown colors, greedy buckets, grid storage) lives here and
 //! is resized (a no-op when the size is unchanged) and refilled in
-//! parallel. The Match1 steps 3–4 finisher (Match1, Match3, the fused
-//! batch) keeps no buffer of its own: its stop-successor array overwrites
-//! `next_cyc` once relabel or Match3's jump rounds have read it, and
-//! its sublist walk writes its marks straight into the mask that becomes
-//! the output matching.
+//! parallel. Neither finisher keeps a mask of its own: the Match1 steps
+//! 3–4 walk (Match1, Match3, the fused batch) and the greedy set sweep
+//! (Match2, Match4) write their marks straight into the mask that
+//! becomes the output matching. The walk's stop-successor array
+//! overwrites `next_cyc` once relabel or Match3's jump rounds have read
+//! it, and the sweep keys Match4's pointers by the walkdown colors in
+//! place.
 //!
 //! The crate forbids `unsafe`, so buffers that are written by parallel
 //! *scatters* (predecessor inversion, walk marks, bucket placement) are
 //! atomics written with `Relaxed` ordering: every target slot has a
 //! unique writer within a pass (or the write is idempotent), so the
-//! results are deterministic and bit-identical to a sequential run.
+//! results are deterministic and bit-identical to a sequential run. A
+//! buffer that only its scatter needs as atomics is stored plain and
+//! converted in place for the scatter (`AtomicU32` has `u32`'s layout,
+//! so std collects the conversion into the same allocation).
 
-use parmatch_bits::Word;
 use parmatch_list::{LinkedList, NodeId, NIL};
 use rayon::prelude::*;
+use std::mem;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
 
 use crate::table::TupleTable;
@@ -54,9 +59,8 @@ pub struct Workspace {
     /// it, the Match1 steps 3–4 finisher overwrites it with the
     /// stop-successor array its sublist walk runs on.
     pub(crate) next_cyc: Vec<NodeId>,
-    /// Scatter target for predecessor inversion.
-    pub(crate) pred_atomic: Vec<AtomicU32>,
-    /// Plain predecessor array (copied out of `pred_atomic`).
+    /// Predecessor array (`NIL` at the head), filled by one atomic
+    /// scatter in [`Workspace::prepare_pred`].
     pub(crate) pred: Vec<NodeId>,
     /// Byte label double buffer A (holds the result after relabel
     /// rounds).
@@ -81,22 +85,18 @@ pub struct Workspace {
     pub(crate) nxt_b: Vec<NodeId>,
     /// Greedy sweep DONE array.
     pub(crate) done: Vec<AtomicBool>,
-    /// Greedy sweep matched-tail marks.
-    pub(crate) greedy_mask: Vec<AtomicBool>,
     /// Bucket scatter target (pointer tails grouped by set).
     pub(crate) bucket_nodes: Vec<AtomicU32>,
     /// Per-chunk × per-set histogram / cursor matrix for bucketing.
     pub(crate) hist: Vec<usize>,
     /// Exclusive start offsets of each set's bucket (+ final total).
     pub(crate) set_starts: Vec<usize>,
-    /// Walkdown color array.
+    /// Walkdown color array ([`UNCOLORED`] at the tail); its bytes are
+    /// the set keys of Match4's greedy sweep.
     pub(crate) colors: Vec<AtomicU8>,
     /// WalkDown2 per-column `(index, count)` pipeline state, one byte
     /// each (`x ≤ 255`).
     pub(crate) walk_state: Vec<(u8, u8)>,
-    /// Raw per-tail set array: Match4's color classes for the greedy
-    /// sweep (the grid is keyed straight from the byte labels).
-    pub(crate) sets: Vec<Word>,
     /// Storage loaned to [`crate::walkdown::Grid`] and taken back: the
     /// tiled slots and keys, and the byte `row_of` array that each
     /// column's counting sort writes into its own node window.
@@ -136,33 +136,27 @@ impl Workspace {
     }
 
     /// Fill `pred` for `list` via a parallel atomic scatter
-    /// (`pred[next[u]] := u`, unique writers).
+    /// (`pred[next[u]] := u`, unique writers), run on `pred`'s own
+    /// allocation viewed as atomics.
     pub(crate) fn prepare_pred(&mut self, list: &LinkedList) {
         let n = list.len();
-        self.pred_atomic.resize_with(n, || AtomicU32::new(NIL));
-        self.pred_atomic
+        self.pred.resize(n, NIL);
+        self.pred
             .par_iter_mut()
             .with_min_len(CHUNK)
-            .for_each(|a| *a.get_mut() = NIL);
+            .for_each(|p| *p = NIL);
+        let pred: Vec<AtomicU32> = mem::take(&mut self.pred)
+            .into_iter()
+            .map(AtomicU32::new)
+            .collect();
         let next = list.next_array();
-        let pa = &self.pred_atomic;
         (0..n).into_par_iter().with_min_len(CHUNK).for_each(|u| {
             let v = next[u];
             if v != NIL {
-                pa[v as usize].store(u as NodeId, Ordering::Relaxed);
+                pred[v as usize].store(u as NodeId, Ordering::Relaxed);
             }
         });
-        self.pred.resize(n, NIL);
-        let pa = &self.pred_atomic;
-        self.pred
-            .par_chunks_mut(CHUNK)
-            .enumerate()
-            .for_each(|(ci, chunk)| {
-                let base = ci * CHUNK;
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    *slot = pa[base + i].load(Ordering::Relaxed);
-                }
-            });
+        self.pred = pred.into_iter().map(AtomicU32::into_inner).collect();
     }
 
     /// Fill `next_cyc` for a fused batch: job `j`'s nodes occupy
@@ -195,7 +189,6 @@ impl Workspace {
     /// arena behaves exactly like a fresh one at steady-state cost.
     pub fn scrub(&mut self) {
         self.next_cyc.clear();
-        self.pred_atomic.clear();
         self.pred.clear();
         self.labels_a.clear();
         self.labels_b.clear();
@@ -204,13 +197,11 @@ impl Workspace {
         self.nxt_a.clear();
         self.nxt_b.clear();
         self.done.clear();
-        self.greedy_mask.clear();
         self.bucket_nodes.clear();
         self.hist.clear();
         self.set_starts.clear();
         self.colors.clear();
         self.walk_state.clear();
-        self.sets.clear();
     }
 
     /// Reset the walkdown colors to [`UNCOLORED`].
@@ -239,5 +230,85 @@ impl Workspace {
             self.table_cache = Some((key, table));
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runner::{Algorithm, Runner};
+    use parmatch_list::random_list;
+
+    /// Bytes the per-node buffers hold (capacity × element size), the
+    /// grid storage included and the Match3 table not counted. Every
+    /// field is named, so a new buffer must be counted here to compile.
+    fn footprint_bytes(ws: &Workspace) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * mem::size_of::<T>()
+        }
+        let Workspace {
+            next_cyc,
+            pred,
+            labels_a,
+            labels_b,
+            win_a,
+            win_b,
+            nxt_a,
+            nxt_b,
+            done,
+            bucket_nodes,
+            hist,
+            set_starts,
+            colors,
+            walk_state,
+            grid_store,
+            table_cache: _,
+        } = ws;
+        let GridStorage {
+            slots,
+            keys,
+            row_of,
+        } = grid_store;
+        bytes(next_cyc)
+            + bytes(pred)
+            + bytes(labels_a)
+            + bytes(labels_b)
+            + bytes(win_a)
+            + bytes(win_b)
+            + bytes(nxt_a)
+            + bytes(nxt_b)
+            + bytes(done)
+            + bytes(bucket_nodes)
+            + bytes(hist)
+            + bytes(set_starts)
+            + bytes(colors)
+            + bytes(walk_state)
+            + bytes(slots)
+            + bytes(keys)
+            + bytes(row_of)
+    }
+
+    #[test]
+    fn footprint_per_matcher_is_pinned() {
+        // Hundredths of a byte per node after one run on a fresh
+        // workspace; the last row runs all four matchers on one. The
+        // fractions are the greedy sweep's histogram and bucket bounds,
+        // and Match4's walk state and ragged last grid column.
+        let n = 1 << 16;
+        let list = random_list(n, 1);
+        let cases: [(&[Algorithm], usize); 5] = [
+            (&[Algorithm::Match1], 1000),
+            (&[Algorithm::Match2], 1101),
+            (&[Algorithm::Match3], 1600),
+            (&[Algorithm::Match4], 3016),
+            (&Algorithm::ALL, 3617),
+        ];
+        for (algos, pinned) in cases {
+            let mut ws = Workspace::new();
+            for &algo in algos {
+                Runner::new(algo).workspace(&mut ws).run(&list);
+            }
+            assert_eq!(footprint_bytes(&ws) * 100 / n, pinned, "{algos:?}");
+        }
     }
 }

@@ -74,9 +74,9 @@ fn kernel_matches_reference_on_multi_tile_grids() {
 
                 let reference = color_pointers_reference(&list, &ps, x);
                 assert!(verify::coloring_is_proper(&list, &reference, 3), "{case}");
-                let classes: Vec<u64> = reference
+                let classes: Vec<u8> = reference
                     .iter()
-                    .map(|&c| if c < 3 { u64::from(c) } else { NO_POINTER })
+                    .map(|&c| if c < 3 { c } else { NO_POINTER })
                     .collect();
                 let greedy = greedy_by_sets(&list, &PointerSets::from_raw(classes, 3, 1), None);
 
